@@ -9,10 +9,11 @@
 
 use std::process::ExitCode;
 
-use tie_bench::experiment::ExperimentCase;
 use tie_bench::harness::{run_sweep, timing_rows, USAGE};
 use tie_bench::report::format_timing_table;
 use tie_bench::{paper_networks, parse_options, quick_networks};
+use tie_mapd::cli::has_flag;
+use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 fn main() -> ExitCode {
@@ -25,10 +26,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let full_networks = args.iter().any(|a| a == "--full" || a == "--all-networks");
-    let paper_topos = args
-        .iter()
-        .any(|a| a == "--full" || a == "--paper-topologies");
+    let full_networks = has_flag(&args, "--full") || has_flag(&args, "--all-networks");
+    let paper_topos = has_flag(&args, "--full") || has_flag(&args, "--paper-topologies");
 
     let networks = if full_networks {
         paper_networks()
@@ -46,8 +45,8 @@ fn main() -> ExitCode {
         options.scale, options.repetitions, options.num_hierarchies
     );
     let mut per_case = Vec::new();
-    for case in ExperimentCase::all() {
-        eprintln!("running case {} ...", case.name());
+    for case in MapCase::all() {
+        eprintln!("running case {} ...", case.label());
         let cells = run_sweep(&networks, &topologies, case, &options);
         for cell in &cells {
             for err in &cell.errors {

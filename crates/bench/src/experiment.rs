@@ -1,7 +1,9 @@
 //! The experiment runner: reproduces one cell of the paper's evaluation
 //! (one network × one topology × one experimental case).
 //!
-//! Each case follows the pipeline of Section 7.1:
+//! Each case follows the pipeline of Section 7.1, run by the two stages
+//! `tie-mapd` shares with the `mapd` service ([`map_initial`] for steps 1–2,
+//! [`enhance_and_evaluate`] for steps 3–4):
 //!
 //! 1. partition the application graph into `|Vp|` blocks with ε = 3 %
 //!    (KaHIP in the paper, `tie-partition` here),
@@ -11,61 +13,15 @@
 //! 3. run TIMER with `NH` hierarchies to obtain `µ₂`,
 //! 4. report quality metrics for both mappings plus wall-clock times.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tie_fault::FaultHandle;
 use tie_graph::Graph;
-use tie_mapping::{drb, greedy, identity_mapping, Mapping};
-use tie_metrics::{evaluate, MappingQuality};
-use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, StopReason, TieError, TimerConfig};
-use tie_topology::{recognize_partial_cube, Topology};
+use tie_mapd::{enhance_and_evaluate, map_initial, MapCase};
+use tie_metrics::MappingQuality;
+use tie_timer::{StopReason, TieError, TimerConfig, TopologyContext};
+use tie_topology::Topology;
 use tie_trace::TraceHandle;
-
-/// The four experimental cases of Section 7.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExperimentCase {
-    /// c1: initial mapping from dual recursive bisection (SCOTCH stand-in).
-    C1Drb,
-    /// c2: IDENTITY mapping on top of the partition.
-    C2Identity,
-    /// c3: GREEDYALLC construction.
-    C3GreedyAllC,
-    /// c4: GREEDYMIN construction (LibTopoMap-style construct method).
-    C4GreedyMin,
-}
-
-impl ExperimentCase {
-    /// All four cases in paper order.
-    pub fn all() -> [ExperimentCase; 4] {
-        [
-            ExperimentCase::C1Drb,
-            ExperimentCase::C2Identity,
-            ExperimentCase::C3GreedyAllC,
-            ExperimentCase::C4GreedyMin,
-        ]
-    }
-
-    /// Short name used in reports (matches the paper's figures).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExperimentCase::C1Drb => "c1 (SCOTCH-like DRB)",
-            ExperimentCase::C2Identity => "c2 (IDENTITY)",
-            ExperimentCase::C3GreedyAllC => "c3 (GREEDYALLC)",
-            ExperimentCase::C4GreedyMin => "c4 (GREEDYMIN)",
-        }
-    }
-
-    /// Identifier like `c1`.
-    pub fn id(&self) -> &'static str {
-        match self {
-            ExperimentCase::C1Drb => "c1",
-            ExperimentCase::C2Identity => "c2",
-            ExperimentCase::C3GreedyAllC => "c3",
-            ExperimentCase::C4GreedyMin => "c4",
-        }
-    }
-}
 
 /// Parameters shared by all experiments.
 #[derive(Clone, Debug)]
@@ -122,6 +78,8 @@ pub struct CaseResult {
     pub timer_time: Duration,
     /// Number of hierarchy rounds TIMER accepted.
     pub hierarchies_accepted: usize,
+    /// Number of label swaps across all of TIMER's hierarchy sweeps.
+    pub total_swaps: usize,
     /// Why the TIMER run stopped (`Completed` unless a deadline or the
     /// adaptive stopping rule cut it short).
     pub stop_reason: StopReason,
@@ -160,73 +118,42 @@ impl CaseResult {
     }
 }
 
-/// Runs one experimental case on one (network, topology) pair.
+/// Runs one experimental case on one (network, topology) pair through the
+/// service's pipeline stages ([`map_initial`], [`enhance_and_evaluate`]), so
+/// the paper tables and `mapd` compute the same mappings.
 ///
 /// # Errors
 /// Returns `TieError::Recognition` if the topology is not a partial cube
-/// (all paper topologies are) and forwards any error from `Timer::enhance`
-/// — a sweep over many rows can record the failure and move on instead of
-/// aborting (see `run_sweep`).
+/// (all paper topologies are) and forwards any error from TIMER — a sweep
+/// over many rows can record the failure and move on instead of aborting
+/// (see `run_sweep`).
 pub fn run_case(
     ga: &Graph,
     topology: &Topology,
-    case: ExperimentCase,
+    case: MapCase,
     config: &ExperimentConfig,
 ) -> Result<CaseResult, TieError> {
-    let gp = &topology.graph;
-    let num_pes = gp.num_vertices();
-    let pcube = recognize_partial_cube(gp)?;
-
-    // Step 1: topology-oblivious partition (KaHIP stand-in).
-    let part_cfg = PartitionConfig {
-        epsilon: config.epsilon,
-        ..PartitionConfig::new(num_pes, config.seed)
-    };
-    let t0 = Instant::now();
-    let part = partition(ga, &part_cfg);
-    let partition_time = t0.elapsed();
-
-    // Step 2: initial mapping µ1.
-    let t1 = Instant::now();
-    let initial_mapping: Mapping = match case {
-        ExperimentCase::C1Drb => drb::drb_mapping(ga, &part, gp, config.seed),
-        ExperimentCase::C2Identity => identity_mapping(&part, num_pes),
-        ExperimentCase::C3GreedyAllC => greedy::greedy_allc_mapping(ga, &part, gp),
-        ExperimentCase::C4GreedyMin => greedy::greedy_min_mapping(ga, &part, gp),
-    };
-    let initial_mapping_time = t1.elapsed();
-
-    // Step 3: TIMER enhancement.
+    let ctx = TopologyContext::recognize(&topology.graph)?;
+    let initial = map_initial(ga, topology, case, config.epsilon, config.seed);
     let timer_cfg = TimerConfig {
-        num_hierarchies: config.num_hierarchies,
-        seed: config.seed,
-        use_diversity: true,
         threads: config.threads,
         batch: config.batch,
         trace: config.trace.clone(),
         deadline: config.deadline,
         faults: config.faults.clone(),
-        ..Default::default()
+        ..TimerConfig::new(config.num_hierarchies, config.seed)
     };
-    let t2 = Instant::now();
-    let result = enhance_mapping(ga, &pcube, &initial_mapping, timer_cfg)?;
-    let timer_time = t2.elapsed();
-
-    // Step 4: metrics.
-    let initial = evaluate(ga, gp, &initial_mapping);
-    let enhanced = evaluate(ga, gp, &result.mapping);
-    debug_assert_eq!(initial.coco, result.initial_coco);
-    debug_assert_eq!(enhanced.coco, result.final_coco);
-
+    let out = enhance_and_evaluate(ga, topology, &ctx, &initial.mapping, timer_cfg)?;
     Ok(CaseResult {
-        initial,
-        enhanced,
-        partition_time,
-        initial_mapping_time,
-        timer_time,
-        hierarchies_accepted: result.hierarchies_accepted,
-        stop_reason: result.stop_reason,
-        worker_panics: result.telemetry.worker_panics,
+        initial: out.initial,
+        enhanced: out.enhanced,
+        partition_time: initial.partition_time,
+        initial_mapping_time: initial.mapping_time,
+        timer_time: out.timer_time,
+        hierarchies_accepted: out.result.hierarchies_accepted,
+        total_swaps: out.result.total_swaps,
+        stop_reason: out.result.stop_reason,
+        worker_panics: out.result.telemetry.worker_panics,
     })
 }
 
@@ -244,7 +171,7 @@ mod tests {
             num_hierarchies: 5,
             ..Default::default()
         };
-        for case in ExperimentCase::all() {
+        for case in MapCase::all() {
             let r = run_case(&ga, &topo, case, &config).unwrap();
             // TIMER accepts rounds by Coco+ (Coco - Div), so plain Coco may
             // drift up marginally in unlucky runs; anything beyond a few
@@ -252,7 +179,7 @@ mod tests {
             assert!(
                 r.enhanced.coco as f64 <= r.initial.coco as f64 * 1.05,
                 "{}: TIMER should not worsen Coco materially ({} -> {})",
-                case.name(),
+                case.label(),
                 r.initial.coco,
                 r.enhanced.coco
             );
@@ -267,9 +194,56 @@ mod tests {
 
     #[test]
     fn case_names_and_ids() {
-        assert_eq!(ExperimentCase::all().len(), 4);
-        assert_eq!(ExperimentCase::C1Drb.id(), "c1");
-        assert!(ExperimentCase::C4GreedyMin.name().contains("GREEDYMIN"));
+        assert_eq!(MapCase::all().len(), 4);
+        assert_eq!(MapCase::C1Drb.id(), "c1");
+        assert!(MapCase::C4GreedyMin.label().contains("GREEDYMIN"));
+    }
+
+    /// The experiment runner and the service run one pipeline: for the same
+    /// graph, topology, case, seed, eps and NH they agree on every quality
+    /// figure and on TIMER's bookkeeping.
+    #[test]
+    fn run_case_matches_service_execute() {
+        use tie_mapd::protocol::{GraphSource, MapRequest};
+        use tie_mapd::topo::parse_topology;
+        use tie_mapd::{Service, ServiceOptions};
+
+        let ga = quick_networks()[0].build(Scale::Tiny);
+        let config = ExperimentConfig {
+            num_hierarchies: 6,
+            seed: 11,
+            ..Default::default()
+        };
+        let service = Service::new(ServiceOptions::default());
+        for topology in ["grid4x4", "hypercube4"] {
+            let topo = parse_topology(topology).unwrap();
+            for case in MapCase::all() {
+                let r = run_case(&ga, &topo, case, &config).unwrap();
+                let resp = service
+                    .execute(&MapRequest {
+                        graph: GraphSource::Inline {
+                            num_vertices: ga.num_vertices(),
+                            edges: ga.edges().collect(),
+                        },
+                        topology: topology.to_string(),
+                        case: case.id().to_string(),
+                        nh: config.num_hierarchies,
+                        eps: config.epsilon,
+                        seed: config.seed,
+                        threads: 1,
+                        batch: 0,
+                        deadline_ms: 0,
+                    })
+                    .unwrap();
+                let at = format!("{topology} {}", case.id());
+                assert_eq!(r.initial.coco, resp.initial.coco, "{at}");
+                assert_eq!(r.enhanced.coco, resp.enhanced.coco, "{at}");
+                assert_eq!(r.initial.edge_cut, resp.initial.edge_cut, "{at}");
+                assert_eq!(r.enhanced.edge_cut, resp.enhanced.edge_cut, "{at}");
+                assert_eq!(r.hierarchies_accepted, resp.hierarchies_accepted, "{at}");
+                assert_eq!(r.total_swaps, resp.total_swaps, "{at}");
+            }
+        }
     }
 
     #[test]
@@ -281,7 +255,7 @@ mod tests {
             num_hierarchies: 2,
             ..Default::default()
         };
-        let r = run_case(&ga, &topo, ExperimentCase::C2Identity, &config).unwrap();
+        let r = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
         assert!(r.time_quotient(Duration::from_millis(100)).is_finite());
         assert!(r.time_quotient(Duration::ZERO).is_infinite());
     }

@@ -5,6 +5,11 @@
 //! (min/mean/max over repetitions, quotients, geometric means) and plain-text
 //! table/figure emitters.
 //!
+//! The harness owns no pipeline or flag parser of its own: [`run_case`] runs
+//! `tie-mapd`'s two pipeline stages (`map_initial`, `enhance_and_evaluate`)
+//! with the cases of `tie_mapd::MapCase`, the same code `mapd` serves, and
+//! [`parse_options`] is built on `tie_mapd::cli`.
+//!
 //! Binaries (each regenerates one artefact of the paper's evaluation):
 //!
 //! * `table1` — the benchmark-network inventory (Table 1),
@@ -26,7 +31,7 @@ pub mod report;
 pub mod stats;
 pub mod workloads;
 
-pub use experiment::{run_case, CaseResult, ExperimentCase, ExperimentConfig};
+pub use experiment::{run_case, CaseResult, ExperimentConfig};
 pub use harness::{parse_options, quality_rows, run_sweep, timing_rows, SweepOptions};
 pub use stats::{geometric_mean, geometric_std_dev, Summary};
 pub use workloads::{paper_networks, quick_networks, NetworkSpec, Scale};

@@ -10,10 +10,14 @@
 //!    [`tie_timer::TopologyContext`]s with single-flight construction, and an
 //!    admission gate bounding in-flight enhancements to hardware parallelism
 //!    with deadline-aware rejection of queued requests.
-//! 2. **[`service`]** — [`Service::execute`]: one [`protocol::MapRequest`]
-//!    in, one [`protocol::MapResponse`] out. This is the single code path
-//!    shared by the `mapd` daemon and `map_file`'s one-shot mode, which is
-//!    what makes a served mapping byte-identical to the one-shot result.
+//! 2. **[`service`]** — the two pipeline stages [`map_initial`] (partition
+//!    and initial mapping c1–c4) and [`enhance_and_evaluate`] (TIMER and the
+//!    before/after metrics), and [`Service::execute`] on top of them: one
+//!    [`protocol::MapRequest`] in, one [`protocol::MapResponse`] out. The
+//!    `mapd` daemon, `map_file`'s one-shot mode and the paper's experiment
+//!    binaries (`tie_bench::run_case`) all run these same stages, which is
+//!    what makes a served mapping byte-identical to the one-shot result and
+//!    to the paper tables.
 //! 3. **[`server`] + [`client`] + [`protocol`]** — a length-prefixed
 //!    newline-JSON framing over a Unix socket, the daemon accept/drain loop,
 //!    and a small blocking client.
@@ -39,4 +43,7 @@ pub mod topo;
 
 pub use admission::Admission;
 pub use cache::{CacheDisposition, CacheStats, TopologyCache};
-pub use service::{MapCase, ServeError, Service, ServiceOptions};
+pub use service::{
+    enhance_and_evaluate, map_initial, Enhanced, InitialMapping, MapCase, ServeError, Service,
+    ServiceOptions,
+};

@@ -1,20 +1,25 @@
-//! The request execution path shared by the daemon and the one-shot CLI.
+//! The mapping pipeline and the request execution path built on it.
 //!
-//! [`Service::execute`] is the *only* route from a [`MapRequest`] to a
-//! [`MapResponse`]: `mapd` calls it per connection frame, `map_file` calls
-//! it once per invocation. One code path is what makes a served mapping
-//! byte-identical to the one-shot result for the same request — there is no
-//! second pipeline to drift.
+//! The paper's evaluation pipeline (Section 7.1) is two public stages:
+//! [`map_initial`] partitions the application graph and builds the case's
+//! initial mapping, and [`enhance_and_evaluate`] runs TIMER on it and scores
+//! both mappings. [`Service::execute`] is the only route from a
+//! [`MapRequest`] to a [`MapResponse`]: `mapd` calls it per connection
+//! frame, `map_file` calls it once per invocation. The experiment binaries
+//! (`tie_bench::run_case`) call the same two stages. One pipeline is what
+//! makes a served mapping byte-identical to the one-shot result and to the
+//! paper tables for the same inputs — there is no second copy to drift.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tie_fault::FaultHandle;
 use tie_graph::{io, Graph, GraphBuilder};
-use tie_mapping::{drb::drb_mapping, greedy, identity_mapping};
-use tie_metrics::evaluate;
+use tie_mapping::{drb::drb_mapping, greedy, identity_mapping, Mapping};
+use tie_metrics::{evaluate, MappingQuality};
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{CancelToken, TieError, Timer, TimerConfig, TopologyContext};
+use tie_timer::{CancelToken, TieError, Timer, TimerConfig, TimerResult, TopologyContext};
+use tie_topology::Topology;
 use tie_trace::TraceHandle;
 
 use crate::admission::Admission;
@@ -26,26 +31,30 @@ use crate::topo::parse_topology;
 /// how the initial mapping is derived from the partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapCase {
-    /// Dual recursive bisection.
+    /// c1: dual recursive bisection (SCOTCH stand-in).
     C1Drb,
-    /// Identity block-to-PE bijection.
+    /// c2: identity block-to-PE bijection.
     C2Identity,
-    /// Greedy all-communication.
+    /// c3: GREEDYALLC construction.
     C3GreedyAllC,
-    /// Greedy minimum.
+    /// c4: GREEDYMIN construction (LibTopoMap-style construct method).
     C4GreedyMin,
 }
 
 impl MapCase {
+    /// All four cases in paper order.
+    pub fn all() -> [MapCase; 4] {
+        [
+            MapCase::C1Drb,
+            MapCase::C2Identity,
+            MapCase::C3GreedyAllC,
+            MapCase::C4GreedyMin,
+        ]
+    }
+
     /// Parses the wire/CLI id (`c1`..`c4`).
     pub fn parse(s: &str) -> Option<MapCase> {
-        match s {
-            "c1" => Some(MapCase::C1Drb),
-            "c2" => Some(MapCase::C2Identity),
-            "c3" => Some(MapCase::C3GreedyAllC),
-            "c4" => Some(MapCase::C4GreedyMin),
-            _ => None,
-        }
+        MapCase::all().into_iter().find(|c| c.id() == s)
     }
 
     /// The stable id.
@@ -57,6 +66,99 @@ impl MapCase {
             MapCase::C4GreedyMin => "c4",
         }
     }
+
+    /// The report label (matches the paper's figures).
+    pub fn label(self) -> &'static str {
+        match self {
+            MapCase::C1Drb => "c1 (SCOTCH-like DRB)",
+            MapCase::C2Identity => "c2 (IDENTITY)",
+            MapCase::C3GreedyAllC => "c3 (GREEDYALLC)",
+            MapCase::C4GreedyMin => "c4 (GREEDYMIN)",
+        }
+    }
+}
+
+/// Output of [`map_initial`]: the initial mapping `µ₁` and the wall time of
+/// each of its two steps.
+#[derive(Clone, Debug)]
+pub struct InitialMapping {
+    /// The initial mapping `µ₁`.
+    pub mapping: Mapping,
+    /// Wall time of the partition.
+    pub partition_time: Duration,
+    /// Wall time of building `µ₁` from the partition.
+    pub mapping_time: Duration,
+}
+
+/// Pipeline stage 1 (Section 7.1 steps 1–2): partitions `ga` into one block
+/// per PE of `topology` with imbalance `eps`, then builds the initial mapping
+/// `µ₁` the way `case` prescribes.
+pub fn map_initial(
+    ga: &Graph,
+    topology: &Topology,
+    case: MapCase,
+    eps: f64,
+    seed: u64,
+) -> InitialMapping {
+    let gp = &topology.graph;
+    let t = Instant::now();
+    let part = partition(
+        ga,
+        &PartitionConfig {
+            epsilon: eps,
+            ..PartitionConfig::new(topology.num_pes(), seed)
+        },
+    );
+    let partition_time = t.elapsed();
+    let t = Instant::now();
+    let mapping = match case {
+        MapCase::C1Drb => drb_mapping(ga, &part, gp, seed),
+        MapCase::C2Identity => identity_mapping(&part, topology.num_pes()),
+        MapCase::C3GreedyAllC => greedy::greedy_allc_mapping(ga, &part, gp),
+        MapCase::C4GreedyMin => greedy::greedy_min_mapping(ga, &part, gp),
+    };
+    InitialMapping {
+        mapping,
+        partition_time,
+        mapping_time: t.elapsed(),
+    }
+}
+
+/// Output of [`enhance_and_evaluate`].
+#[derive(Clone, Debug)]
+pub struct Enhanced {
+    /// TIMER's result: the enhanced mapping `µ₂` plus its bookkeeping.
+    pub result: TimerResult,
+    /// Quality of `µ₁`.
+    pub initial: MappingQuality,
+    /// Quality of `µ₂`.
+    pub enhanced: MappingQuality,
+    /// Wall time of the TIMER run alone.
+    pub timer_time: Duration,
+}
+
+/// Pipeline stage 2 (Section 7.1 steps 3–4): enhances `initial` with TIMER
+/// configured by `cfg` over the topology context `ctx`, then evaluates both
+/// mappings on `topology`.
+///
+/// # Errors
+/// Whatever [`Timer::enhance_with_context`] reports.
+pub fn enhance_and_evaluate(
+    ga: &Graph,
+    topology: &Topology,
+    ctx: &TopologyContext,
+    initial: &Mapping,
+    cfg: TimerConfig,
+) -> Result<Enhanced, TieError> {
+    let t = Instant::now();
+    let result = Timer::new(cfg).enhance_with_context(ga, ctx, initial)?;
+    let timer_time = t.elapsed();
+    Ok(Enhanced {
+        initial: evaluate(ga, &topology.graph, initial),
+        enhanced: evaluate(ga, &topology.graph, &result.mapping),
+        result,
+        timer_time,
+    })
 }
 
 /// Why a request could not be served.
@@ -134,9 +236,9 @@ impl Service {
         }
     }
 
-    /// Executes one mapping request end to end: admission, graph load,
-    /// cached topology context, partition, initial mapping, TIMER
-    /// enhancement, quality bookkeeping.
+    /// Executes one mapping request end to end: admission, graph load and
+    /// the cached topology context, then the two pipeline stages
+    /// [`map_initial`] and [`enhance_and_evaluate`].
     ///
     /// # Errors
     /// [`ServeError::Invalid`] for malformed requests,
@@ -174,19 +276,7 @@ impl Service {
             )));
         }
 
-        let part = partition(
-            &ga,
-            &PartitionConfig {
-                epsilon: req.eps,
-                ..PartitionConfig::new(topo.num_pes(), req.seed)
-            },
-        );
-        let initial = match case {
-            MapCase::C1Drb => drb_mapping(&ga, &part, &topo.graph, req.seed),
-            MapCase::C2Identity => identity_mapping(&part, topo.num_pes()),
-            MapCase::C3GreedyAllC => greedy::greedy_allc_mapping(&ga, &part, &topo.graph),
-            MapCase::C4GreedyMin => greedy::greedy_min_mapping(&ga, &part, &topo.graph),
-        };
+        let initial = map_initial(&ga, &topo, case, req.eps, req.seed);
 
         let mut cfg = TimerConfig::new(req.nh, req.seed)
             .with_threads(req.threads)
@@ -203,21 +293,15 @@ impl Service {
             }
             cfg = cfg.with_deadline(t - now);
         }
-        let result = Timer::new(cfg).enhance_with_context(&ga, &ctx, &initial)?;
-
-        let before = evaluate(&ga, &topo.graph, &initial);
-        let after = evaluate(&ga, &topo.graph, &result.mapping);
-        let mapping: Vec<u32> = (0..result.mapping.num_tasks())
-            .map(|v| result.mapping.pe_of(v as u32))
-            .collect();
+        let out = enhance_and_evaluate(&ga, &topo, &ctx, &initial.mapping, cfg)?;
         Ok(MapResponse {
             cache: disposition.name().to_string(),
-            stop_reason: result.stop_reason.name().to_string(),
-            hierarchies_accepted: result.hierarchies_accepted,
-            total_swaps: result.total_swaps,
-            initial: summarize(&before),
-            enhanced: summarize(&after),
-            mapping,
+            stop_reason: out.result.stop_reason.name().to_string(),
+            hierarchies_accepted: out.result.hierarchies_accepted,
+            total_swaps: out.result.total_swaps,
+            initial: summarize(&out.initial),
+            enhanced: summarize(&out.enhanced),
+            mapping: out.result.mapping.into_assignment(),
         })
     }
 
@@ -255,7 +339,7 @@ impl Service {
 /// A service behind an `Arc`, as the daemon shares it across connections.
 pub type SharedService = Arc<Service>;
 
-fn summarize(q: &tie_metrics::MappingQuality) -> QualitySummary {
+fn summarize(q: &MappingQuality) -> QualitySummary {
     QualitySummary {
         coco: q.coco,
         edge_cut: q.edge_cut,

@@ -596,16 +596,13 @@ fn run_round(
     let p_mask_perm = permute_label_bits(p_mask, perm, dim);
     let e_mask_perm = permute_label_bits(e_mask, perm, dim);
 
-    // Lines 9-14: swap sweeps interleaved with contractions. Always built
-    // with the sequential sweep: parallelism lives one level up (whole
-    // rounds), which is what keeps the result thread-count-invariant.
+    // Lines 9-14: swap sweeps interleaved with contractions.
     let run = build_hierarchy_traced(
         graph,
         permuted,
         dim,
         p_mask_perm,
         e_mask_perm,
-        1,
         Some(round),
         trace,
         scratch,

@@ -18,7 +18,6 @@ use tie_graph::{Graph, NodeId};
 use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
 
 use crate::objective::swap_delta;
-use crate::parallel::parallel_sweep;
 
 /// One level of a TIMER hierarchy.
 #[derive(Clone, Debug)]
@@ -240,15 +239,13 @@ fn contract_level_presorted(
 /// sweeps and contractions until the labels have only two digits left
 /// (Algorithm 1, lines 9–14). `p_mask`/`e_mask` are the PE/extension digit
 /// masks *in the permuted label space*; they are truncated alongside the
-/// labels on coarser levels. `threads > 1` parallelizes the level-1 sweep
-/// (the by far most expensive one).
+/// labels on coarser levels.
 pub fn build_hierarchy(
     graph: &Graph,
     labels: Vec<u64>,
     dim: usize,
     p_mask: u64,
     e_mask: u64,
-    threads: usize,
 ) -> HierarchyRun {
     build_hierarchy_traced(
         graph,
@@ -256,7 +253,6 @@ pub fn build_hierarchy(
         dim,
         p_mask,
         e_mask,
-        threads,
         None,
         &TraceHandle::off(),
         &mut HierarchyScratch::default(),
@@ -278,7 +274,6 @@ pub fn build_hierarchy_traced(
     dim: usize,
     p_mask: u64,
     e_mask: u64,
-    threads: usize,
     hierarchy_round: Option<usize>,
     trace: &TraceHandle,
     scratch: &mut HierarchyScratch,
@@ -306,17 +301,13 @@ pub fn build_hierarchy_traced(
     for round in 0..rounds {
         let (pm, em) = (p_mask >> round, e_mask >> round);
         let t = Instant::now();
-        total_swaps += if round == 0 && threads > 1 {
-            parallel_sweep(&current_graph, &mut current_labels, pm, em, threads)
-        } else {
-            sweep_with(
-                &current_graph,
-                &mut current_labels,
-                pm,
-                em,
-                &mut scratch.sweep,
-            )
-        };
+        total_swaps += sweep_with(
+            &current_graph,
+            &mut current_labels,
+            pm,
+            em,
+            &mut scratch.sweep,
+        );
         let sweep_us = t.elapsed().as_micros() as u64;
         phases.add(Phase::Sweep, sweep_us);
         if per_level {
@@ -529,7 +520,7 @@ mod tests {
     fn hierarchy_has_expected_depth_and_sizes() {
         let (g, labels) = toy();
         let dim = 4;
-        let run = build_hierarchy(&g, labels, dim, 0b1110, 0b0001, 1);
+        let run = build_hierarchy(&g, labels, dim, 0b1110, 0b0001);
         // dim - 1 = 3 levels: 8, 4, 2 vertices.
         assert_eq!(run.levels.len(), 3);
         assert_eq!(run.levels[0].graph.num_vertices(), 8);
@@ -559,7 +550,7 @@ mod tests {
     fn hierarchy_on_two_digit_labels_is_single_level() {
         let g = generators::path_graph(4);
         let labels = vec![0u64, 1, 2, 3];
-        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01, 1);
+        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01);
         assert_eq!(run.levels.len(), 1);
         assert_eq!(run.levels[0].labels, labels);
         assert_eq!(run.total_swaps, 0);

@@ -30,7 +30,6 @@ pub mod error;
 pub mod hierarchy;
 pub mod labeling;
 pub mod objective;
-pub mod parallel;
 pub mod refinement;
 pub mod telemetry;
 

@@ -85,41 +85,6 @@ proptest! {
         });
     }
 
-    /// The documented invariant of the snapshot-scored parallel sweep: for
-    /// every thread count the label multiset is preserved and the objective
-    /// never worsens. (It may commit a different swap set than the
-    /// sequential sweep — see the module doc of `tie_timer::parallel` — but
-    /// the committed result is identical for all thread counts.)
-    #[test]
-    fn parallel_sweep_invariants(n in 64..256usize, seed in 0..100u64, ext in 1..4u32) {
-        let g = generators::randomize_edge_weights(
-            &generators::barabasi_albert(n, 3, seed),
-            4,
-            seed,
-        );
-        let labels: Vec<u64> = (0..n as u64).collect();
-        let dim = usize::BITS - (n - 1).leading_zeros();
-        let e_mask = (1u64 << ext.min(dim - 1)) - 1;
-        let p_mask = ((1u64 << dim) - 1) & !e_mask;
-        let before = tie_timer::objective::objective_for_labels(&g, &labels, p_mask, e_mask);
-        let mut sorted_original = labels.clone();
-        sorted_original.sort_unstable();
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in 1..=8usize {
-            let mut l = labels.clone();
-            tie_timer::parallel::parallel_sweep(&g, &mut l, p_mask, e_mask, threads);
-            let after = tie_timer::objective::objective_for_labels(&g, &l, p_mask, e_mask);
-            prop_assert!(after <= before, "threads={} worsened {} -> {}", threads, before, after);
-            let mut sorted = l.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(&sorted, &sorted_original);
-            match &reference {
-                None => reference = Some(l),
-                Some(r) => prop_assert_eq!(&l, r, "thread count changed the committed swap set"),
-            }
-        }
-    }
-
     /// The speculative batched driver is a pure scheduling change: for any
     /// instance, thread count and batch depth, the result is byte-identical
     /// to the sequential trajectory.

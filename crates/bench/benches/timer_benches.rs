@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the TIMER core: NH sweep (Table 2's cost
-//! driver), the Coco⁺ objective ablation, and the sequential driver vs the
-//! speculative hierarchy batches (Section 6.3 outlook). The batched driver
-//! returns byte-identical results for every thread count, so the
-//! `timer_speculative_batches` group measures pure scheduling gains.
+//! driver) and the sequential driver vs the speculative hierarchy batches
+//! (Section 6.3 outlook). The batched driver returns byte-identical results
+//! for every thread count, so the `timer_speculative_batches` group measures
+//! pure scheduling gains.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -41,28 +41,6 @@ fn nh_sweep(c: &mut Criterion) {
             b.iter(|| enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(nh, 3)).unwrap());
         });
     }
-    group.finish();
-}
-
-/// Ablation: objective with and without the diversity term (Section 5).
-fn objective_ablation(c: &mut Criterion) {
-    let (ga, pcube, mapping, _) = bench_instance();
-    let mut group = c.benchmark_group("timer_objective_ablation");
-    group.sample_size(10);
-    group.bench_function("coco_plus", |b| {
-        b.iter(|| enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 1)).unwrap());
-    });
-    group.bench_function("coco_only", |b| {
-        b.iter(|| {
-            enhance_mapping(
-                &ga,
-                &pcube,
-                &mapping,
-                TimerConfig::new(5, 1).without_diversity(),
-            )
-            .unwrap()
-        });
-    });
     group.finish();
 }
 
@@ -108,11 +86,5 @@ fn per_topology(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    nh_sweep,
-    objective_ablation,
-    speculative_batches,
-    per_topology
-);
+criterion_group!(benches, nh_sweep, speculative_batches, per_topology);
 criterion_main!(benches);

@@ -167,7 +167,7 @@ fn run() -> Result<(), String> {
                     "batched driver diverged from the sequential trajectory"
                 ),
             }
-            // Gate outcomes (accept/reject/tie counts and delta histograms)
+            // Gate outcomes (accept/reject/tie counts and the delta histogram)
             // must be byte-identical across thread counts; only the phase
             // wall-clock may differ. The embedded record is the threads = 1
             // run's, so the phase breakdown reads as sequential time.
@@ -188,6 +188,7 @@ fn run() -> Result<(), String> {
                 final_coco: result.final_coco,
                 accepted: result.hierarchies_accepted,
                 total_swaps: result.total_swaps,
+                repaired: result.total_repaired,
                 threads_oversubscribed: oversubscribed,
             });
         }

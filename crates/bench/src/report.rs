@@ -230,6 +230,9 @@ pub struct TimerBenchEntry {
     pub accepted: usize,
     /// Label swaps performed across all sweeps.
     pub total_swaps: usize,
+    /// Vertices whose assembled label needed the bijection repair
+    /// (`TimerResult::total_repaired`).
+    pub repaired: usize,
     /// True when this row asked for more worker threads than the machine
     /// has — its `wall_ms` measures contention, not speedup.
     pub threads_oversubscribed: bool,
@@ -289,7 +292,8 @@ pub fn format_bench_json(
             out,
             "    {{\"scale\": \"{}\", \"threads\": {}, \"batch\": {}, \"wall_ms\": {:.3}, \
              \"wall_ms_min\": {:.3}, \"initial_coco\": {}, \"final_coco\": {}, \
-             \"accepted\": {}, \"total_swaps\": {}, \"threads_oversubscribed\": {}}}{}",
+             \"accepted\": {}, \"total_swaps\": {}, \"repaired\": {}, \
+             \"threads_oversubscribed\": {}}}{}",
             e.scale,
             e.threads,
             e.batch,
@@ -299,6 +303,7 @@ pub fn format_bench_json(
             e.final_coco,
             e.accepted,
             e.total_swaps,
+            e.repaired,
             e.threads_oversubscribed,
             comma
         );
@@ -316,11 +321,6 @@ pub fn format_bench_json(
             out,
             "      \"delta_coco_hist\": {},",
             format_histogram_json(&t.delta_coco)
-        );
-        let _ = writeln!(
-            out,
-            "      \"delta_div_hist\": {},",
-            format_histogram_json(&t.delta_div)
         );
         let mut phases = String::from("{");
         for (j, (phase, us)) in t.phases.iter().enumerate() {
@@ -421,6 +421,7 @@ mod tests {
                 final_coco: 80,
                 accepted: 3,
                 total_swaps: 42,
+                repaired: 7,
                 threads_oversubscribed: false,
             },
             TimerBenchEntry {
@@ -433,13 +434,14 @@ mod tests {
                 final_coco: 80,
                 accepted: 3,
                 total_swaps: 42,
+                repaired: 7,
                 threads_oversubscribed: true,
             },
         ];
         let mut tel = RoundTelemetry::default();
-        tel.record_gate(-20, -5, true, false);
-        tel.record_gate(3, 3, true, true);
-        tel.record_gate(7, 0, false, false);
+        tel.record_gate(-20, true, false);
+        tel.record_gate(0, true, true);
+        tel.record_gate(7, false, false);
         use tie_trace::Phase;
         tel.phases.add(Phase::Sweep, 1234);
         tel.phases.add(Phase::DeltaScan, 56);
@@ -458,16 +460,16 @@ mod tests {
         assert!(s.contains("\"wall_ms_min\": 11.900"));
         assert!(s.contains("\"threads\": 4"));
         assert!(s.contains("\"final_coco\": 80"));
+        assert!(s.contains("\"repaired\": 7"));
         assert!(s.contains("\"threads_oversubscribed\": false"));
         assert!(s.contains("\"threads_oversubscribed\": true"));
-        // Telemetry block: gate counts, histograms with inclusive bounds,
+        // Telemetry block: gate counts, the histogram with inclusive bounds,
         // and the full fixed phase vocabulary.
         assert!(s.contains("\"accepted\": 2,"));
         assert!(s.contains("\"rejected\": 1,"));
         assert!(s.contains("\"ties\": 1,"));
         assert!(s.contains("\"delta_coco_hist\": ["));
         assert!(s.contains("{\"lo\": -31, \"hi\": -16, \"count\": 1}"));
-        assert!(s.contains("\"delta_div_hist\": ["));
         assert!(s.contains("\"phases_us\": {"));
         assert!(s.contains("\"sweep\": 1234"));
         assert!(s.contains("\"delta_scan\": 56"));

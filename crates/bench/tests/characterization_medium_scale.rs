@@ -1,19 +1,16 @@
-//! Characterization test for the medium-scale acceptance collapse.
+//! Acceptance floor for the medium-scale workload.
 //!
-//! `BENCH_timer.json` shows that on the medium workload (PGPgiantcompo
-//! scaled ×16 ≈ 10k vertices, grid8x8, scrambled block-to-PE bijection)
-//! TIMER accepts **zero** of its hierarchy rounds: Coco stays frozen at the
-//! initial mapping's value. ROADMAP.md tracks fixing this as the top open
-//! item ("Fix the medium-scale acceptance collapse — quality is the
-//! product"). This test pins today's behaviour so the fix, when it lands,
-//! flips these assertions loudly instead of drifting in silently — at that
-//! point invert them (accepted > 0, final_coco < initial_coco) or delete
-//! the test.
+//! On the medium workload (PGPgiantcompo scaled ×16 ≈ 10k vertices,
+//! grid8x8, scrambled block-to-PE bijection) TIMER used to accept **zero**
+//! of its hierarchy rounds while it searched on `Coco − Div`: the Div term
+//! pulled the coarse-level sweeps toward rounds that the Coco guard then
+//! rejected, and Coco stayed frozen at the initial mapping's value. With the
+//! search on plain Coco, rounds are kept and Coco falls. This test pins that
+//! floor, so a change that brings the collapse back fails loudly.
 //!
 //! The setup mirrors `bench_timer`'s medium cell exactly (same network,
-//! seed, topology, and scramble), with a small NH: the collapse is already
-//! total at NH = 4, and a debug-mode full NH = 40 run would be too slow for
-//! tier-1.
+//! seed, topology, and scramble), with a small NH: a debug-mode full
+//! NH = 40 run would be too slow for tier-1.
 
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_graph::generators::random_permutation;
@@ -23,7 +20,7 @@ use tie_timer::{enhance_mapping, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 
 #[test]
-fn medium_scale_accepts_no_rounds_and_leaves_coco_frozen() {
+fn medium_scale_accepts_rounds_and_lowers_coco() {
     let spec = paper_networks()
         .into_iter()
         .find(|s| s.name == "PGPgiantcompo")
@@ -45,21 +42,18 @@ fn medium_scale_accepts_no_rounds_and_leaves_coco_frozen() {
         result.initial_coco, 71581,
         "medium-cell setup drifted — regenerate BENCH_timer.json and update this pin"
     );
-    // The anomaly itself: every round is rejected and the mapping never
-    // moves. A fixed TIMER would make `hierarchies_accepted > 0` and
-    // `final_coco < initial_coco` here.
-    assert_eq!(
-        result.hierarchies_accepted, 0,
-        "medium-scale collapse no longer reproduces — the ROADMAP item may be fixed; \
-         update this characterization test"
+    // The floor: some rounds are kept and Coco strictly improves.
+    assert!(
+        result.hierarchies_accepted > 0,
+        "medium-scale collapse is back: no hierarchy round was kept"
     );
-    assert_eq!(
-        result.final_coco, result.initial_coco,
-        "Coco should be frozen"
+    assert!(
+        result.final_coco < result.initial_coco,
+        "Coco did not improve: {} -> {}",
+        result.initial_coco,
+        result.final_coco
     );
-    // The gate telemetry tells the same story: NH offers, NH rejections.
+    // The gate telemetry tells the same story.
     assert_eq!(result.telemetry.rounds(), nh);
-    assert_eq!(result.telemetry.rejected, nh);
-    assert_eq!(result.telemetry.accepted, 0);
-    assert_eq!(result.telemetry.ties, 0);
+    assert!(result.telemetry.accepted > 0);
 }

@@ -253,6 +253,16 @@ impl Service {
             ));
         }
         let topo = parse_topology(&req.topology).map_err(ServeError::Invalid)?;
+        let mut cfg = TimerConfig::new(req.nh, req.seed)
+            .with_threads(req.threads)
+            .with_batch(req.batch)
+            .with_trace(self.trace.clone())
+            .with_cancel_token(self.cancel.clone())
+            .with_faults(self.faults.clone());
+        // `nh`, `threads` and `batch` size the driver's allocations: an
+        // oversized request is refused here, before it holds a permit.
+        cfg.validate()
+            .map_err(|e| ServeError::Invalid(e.to_string()))?;
         let deadline =
             (req.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(req.deadline_ms));
 
@@ -278,12 +288,6 @@ impl Service {
 
         let initial = map_initial(&ga, &topo, case, req.eps, req.seed);
 
-        let mut cfg = TimerConfig::new(req.nh, req.seed)
-            .with_threads(req.threads)
-            .with_batch(req.batch)
-            .with_trace(self.trace.clone())
-            .with_cancel_token(self.cancel.clone())
-            .with_faults(self.faults.clone());
         if let Some(t) = deadline {
             let now = Instant::now();
             if now >= t {
@@ -453,6 +457,25 @@ mod tests {
             service.execute(&bad_threads),
             Err(ServeError::Invalid(_))
         ));
+        for oversize in [
+            MapRequest {
+                nh: tie_timer::MAX_HIERARCHIES + 1,
+                ..demo_request(3)
+            },
+            MapRequest {
+                threads: tie_timer::MAX_THREADS + 1,
+                ..demo_request(3)
+            },
+            MapRequest {
+                batch: tie_timer::MAX_BATCH + 1,
+                ..demo_request(3)
+            },
+        ] {
+            assert!(matches!(
+                service.execute(&oversize),
+                Err(ServeError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

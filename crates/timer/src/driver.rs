@@ -4,9 +4,10 @@
 //! # Speculative hierarchy batches
 //!
 //! The `NH` rounds form a sequential chain only through the accept gate:
-//! round `k` starts from whatever labeling rounds `0..k` left behind. Most
-//! rounds are *rejected*, though, so the chain rarely advances — which makes
-//! the rounds ideal targets for speculation. With `threads > 1` the driver
+//! round `k` starts from whatever labeling rounds `0..k` left behind. A
+//! rejected round (or a kept one that leaves the labels unchanged) does not
+//! advance the chain, which makes runs of such rounds ideal targets for
+//! speculation. With `threads > 1` the driver
 //! runs a batch of `B` rounds (distinct digit permutations) concurrently
 //! from the same accepted base labeling, then commits the results in
 //! permutation order against the live gate. A kept round that actually
@@ -42,7 +43,7 @@ use crate::context::TopologyContext;
 use crate::error::{StopReason, TieError};
 use crate::hierarchy::{build_hierarchy_traced, HierarchyScratch};
 use crate::labeling::Labeling;
-use crate::objective::{coco_and_div_for_labels, coco_div_delta, AcceptGate};
+use crate::objective::{coco_delta, coco_for_labels, AcceptGate};
 use crate::telemetry::RoundTelemetry;
 use crate::TimerConfig;
 
@@ -63,12 +64,6 @@ pub struct TimerResult {
     pub initial_coco: u64,
     /// `Coco` of the enhanced mapping.
     pub final_coco: u64,
-    /// `Coco⁺` of the initial labeling.
-    pub initial_coco_plus: i64,
-    /// `Coco⁺` of the final labeling.
-    pub final_coco_plus: i64,
-    /// `Div` of the final labeling.
-    pub final_diversity: u64,
     /// Number of hierarchy rounds whose result was kept.
     pub hierarchies_accepted: usize,
     /// Number of label swaps performed across all hierarchy sweeps.
@@ -76,7 +71,7 @@ pub struct TimerResult {
     /// Number of vertices whose assembled label needed the bijection repair.
     pub total_repaired: usize,
     /// Flight-recorder summary of the run: accept/reject/tie counts, the
-    /// per-round `ΔCoco`/`ΔDiv` histograms and a per-phase wall-clock
+    /// per-round `ΔCoco` histogram and a per-phase wall-clock
     /// breakdown. Always collected (the gate side rides the delta scan the
     /// driver performs anyway); the gate side is byte-identical across
     /// `(threads, batch)` settings, the phase side is wall-clock.
@@ -161,20 +156,13 @@ impl Timer {
         let mut labeling = Labeling::from_mapping(graph, pcube, initial, cfg.seed)?;
         let dim = labeling.dim;
         let p_mask = labeling.p_mask();
-        let full_e_mask = labeling.ext_mask();
-        let e_mask = if cfg.use_diversity { full_e_mask } else { 0 };
 
-        // One edge scan seeds everything: the reported initial values and the
+        // One edge scan seeds everything: the reported initial value and the
         // accept gate, which from here on is updated purely from per-round
         // deltas (no full-graph objective recomputes in the round loop).
-        let (initial_coco, initial_div) =
-            coco_and_div_for_labels(graph, &labeling.labels, p_mask, full_e_mask);
-        let initial_coco_plus = initial_coco as i64 - initial_div as i64;
+        let initial_coco = coco_for_labels(graph, &labeling.labels, p_mask);
         let original_set = labeling.sorted_label_set();
-        let mut gate = AcceptGate::new(
-            initial_coco,
-            if cfg.use_diversity { initial_div } else { 0 },
-        );
+        let mut gate = AcceptGate::new(initial_coco);
         let trace = &cfg.trace;
         let mut telemetry = RoundTelemetry::default();
         trace.emit(TraceEvent::RunStart {
@@ -182,7 +170,6 @@ impl Timer {
             threads: cfg.threads.max(1),
             batch: cfg.effective_batch(),
             initial_coco,
-            initial_div: if cfg.use_diversity { initial_div } else { 0 },
         });
 
         // Line 6 for all rounds up front: the permutation stream depends only
@@ -246,7 +233,6 @@ impl Timer {
                     &perms[next],
                     dim,
                     p_mask,
-                    e_mask,
                     next,
                     trace,
                     faults,
@@ -283,7 +269,6 @@ impl Timer {
                                             perm,
                                             dim,
                                             p_mask,
-                                            e_mask,
                                             first_round + i,
                                             trace,
                                             faults,
@@ -343,7 +328,6 @@ impl Timer {
                             &perms[round],
                             dim,
                             p_mask,
-                            e_mask,
                             round,
                             trace,
                             faults,
@@ -381,18 +365,15 @@ impl Timer {
                 total_swaps += outcome.swaps;
                 total_repaired += outcome.repaired;
                 committed += 1;
-                let accepted = gate.offer(outcome.coco_delta, outcome.div_delta);
-                // An equal-objective keep: `ΔCoco⁺ = ΔCoco − ΔDiv = 0`.
-                let tie = accepted && outcome.coco_delta == outcome.div_delta;
-                telemetry.record_gate(outcome.coco_delta, outcome.div_delta, accepted, tie);
+                let accepted = gate.offer(outcome.coco_delta);
+                let tie = accepted && outcome.coco_delta == 0;
+                telemetry.record_gate(outcome.coco_delta, accepted, tie);
                 trace.emit(TraceEvent::Gate {
                     round: next + i,
                     coco_delta: outcome.coco_delta,
-                    div_delta: outcome.div_delta,
                     accepted,
                     tie,
                     coco: gate.coco(),
-                    div: gate.div(),
                 });
                 if accepted {
                     consecutive_rejections = 0;
@@ -442,12 +423,11 @@ impl Timer {
                 (depth * 2).min(max_batch.max(1))
             };
 
-            #[cfg(debug_assertions)]
-            {
-                let (c, d) = coco_and_div_for_labels(graph, &labeling.labels, p_mask, e_mask);
-                debug_assert_eq!(gate.coco(), c as i64, "incremental Coco drifted");
-                debug_assert_eq!(gate.div(), d as i64, "incremental Div drifted");
-            }
+            debug_assert_eq!(
+                gate.coco(),
+                coco_for_labels(graph, &labeling.labels, p_mask) as i64,
+                "incremental Coco drifted"
+            );
 
             if let Some(reason) = rejection_stop {
                 stop_reason = reason;
@@ -461,14 +441,12 @@ impl Timer {
             "TIMER must never change the label set (balance preservation)"
         );
 
-        let (final_coco, final_div) =
-            coco_and_div_for_labels(graph, &labeling.labels, p_mask, full_e_mask);
+        let final_coco = coco_for_labels(graph, &labeling.labels, p_mask);
         debug_assert_eq!(gate.coco(), final_coco as i64);
         telemetry.worker_panics = worker_panics;
         telemetry.stop_reason = stop_reason;
         trace.emit(TraceEvent::RunEnd {
             final_coco,
-            final_div,
             accepted: telemetry.accepted,
             rejected: telemetry.rejected,
             ties: telemetry.ties,
@@ -480,9 +458,6 @@ impl Timer {
             labeling,
             initial_coco,
             final_coco,
-            initial_coco_plus,
-            final_coco_plus: final_coco as i64 - final_div as i64,
-            final_diversity: final_div,
             hierarchies_accepted: gate.kept(),
             total_swaps,
             total_repaired,
@@ -526,7 +501,6 @@ fn guarded_round(
     perm: &[usize],
     dim: usize,
     p_mask: u64,
-    e_mask: u64,
     round: usize,
     trace: &TraceHandle,
     faults: &FaultHandle,
@@ -538,7 +512,7 @@ fn guarded_round(
     // behind in it.
     catch_unwind(AssertUnwindSafe(|| {
         run_round(
-            graph, base, perm, dim, p_mask, e_mask, round, trace, faults, scratch,
+            graph, base, perm, dim, p_mask, round, trace, faults, scratch,
         )
     }))
     .map_err(|payload| panic_message(payload.as_ref()))
@@ -550,8 +524,6 @@ struct RoundOutcome {
     labels: Vec<u64>,
     /// Exact `Coco` change of the candidate vs the base it was built from.
     coco_delta: i64,
-    /// Exact `Div` change of the candidate vs the base it was built from.
-    div_delta: i64,
     /// Swaps performed by the round's sweeps.
     swaps: usize,
     /// Vertices whose assembled label needed the bijection repair.
@@ -572,7 +544,6 @@ fn run_round(
     perm: &[usize],
     dim: usize,
     p_mask: u64,
-    e_mask: u64,
     round: usize,
     trace: &TraceHandle,
     faults: &FaultHandle,
@@ -585,7 +556,7 @@ fn run_round(
     let mut phases = PhaseTimes::default();
     let inv = invert_permutation(perm);
 
-    // Line 7: permute labels (and the masks along with them).
+    // Line 7: permute labels (and the PE mask along with them).
     faults.delay("hierarchy_build");
     // tie-lint: allow(no-wallclock) — hierarchy-phase telemetry
     let build_start = Instant::now();
@@ -594,7 +565,6 @@ fn run_round(
         .map(|&l| permute_label_bits(l, perm, dim))
         .collect();
     let p_mask_perm = permute_label_bits(p_mask, perm, dim);
-    let e_mask_perm = permute_label_bits(e_mask, perm, dim);
 
     // Lines 9-14: swap sweeps interleaved with contractions.
     let run = build_hierarchy_traced(
@@ -602,7 +572,6 @@ fn run_round(
         permuted,
         dim,
         p_mask_perm,
-        e_mask_perm,
         Some(round),
         trace,
         scratch,
@@ -638,14 +607,11 @@ fn run_round(
         elapsed_us: assemble_us,
     });
 
-    // Lines 17-19 pricing: Div only steers the search, so a round must also
-    // not worsen the true communication cost — without the separate Coco
-    // delta, rounds that grow Div faster than Coco would be accepted and
-    // plain Coco would drift upward as NH grows.
+    // Lines 17-19 pricing: the exact Coco change of the candidate.
     faults.delay("delta_scan");
     // tie-lint: allow(no-wallclock) — delta-scan-phase telemetry
     let scan_start = Instant::now();
-    let (coco_delta, div_delta) = coco_div_delta(graph, base, &labels, p_mask, e_mask);
+    let coco_delta = coco_delta(graph, base, &labels, p_mask);
     let scan_us = scan_start.elapsed().as_micros() as u64;
     phases.add(Phase::DeltaScan, scan_us);
     trace.emit(TraceEvent::Phase {
@@ -657,7 +623,6 @@ fn run_round(
     RoundOutcome {
         labels,
         coco_delta,
-        div_delta,
         swaps: run.total_swaps,
         repaired: assembled.repaired,
         phases,
@@ -705,11 +670,12 @@ mod tests {
             .sum()
     }
 
+    // The name predates the removal of the Div term; the test checks Coco.
     #[test]
     fn timer_never_worsens_coco_plus_and_preserves_balance() {
         let (ga, topo, pcube, mapping) = fixture(1);
         let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(10, 7)).unwrap();
-        assert!(result.final_coco_plus <= result.initial_coco_plus);
+        assert!(result.final_coco <= result.initial_coco);
         // Balance: identical load multiset before and after.
         let mut before = mapping.load_per_pe();
         let mut after = result.mapping.load_per_pe();
@@ -783,8 +749,6 @@ mod tests {
             assert_eq!(r.labeling.labels, direct.labeling.labels, "{label}");
             assert_eq!(r.mapping, direct.mapping, "{label}");
             assert_eq!(r.final_coco, direct.final_coco, "{label}");
-            assert_eq!(r.final_coco_plus, direct.final_coco_plus, "{label}");
-            assert_eq!(r.final_diversity, direct.final_diversity, "{label}");
             assert_eq!(
                 r.hierarchies_accepted, direct.hierarchies_accepted,
                 "{label}"
@@ -799,24 +763,7 @@ mod tests {
         let (ga, _, pcube, mapping) = fixture(4);
         let few = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(2, 9)).unwrap();
         let many = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(20, 9)).unwrap();
-        assert!(many.final_coco_plus <= few.final_coco_plus);
-    }
-
-    #[test]
-    fn diversity_ablation_still_valid() {
-        let (ga, topo, pcube, mapping) = fixture(5);
-        let result = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(8, 3).without_diversity(),
-        )
-        .unwrap();
-        assert!(result.final_coco <= result.initial_coco);
-        assert_eq!(
-            result.final_coco,
-            coco_by_distances(&ga, &topo.graph, &result.mapping)
-        );
+        assert!(many.final_coco <= few.final_coco);
     }
 
     #[test]
@@ -829,7 +776,7 @@ mod tests {
             TimerConfig::new(6, 2).with_threads(4),
         )
         .unwrap();
-        assert!(result.final_coco_plus <= result.initial_coco_plus);
+        assert!(result.final_coco <= result.initial_coco);
         assert_eq!(
             result.final_coco,
             coco_by_distances(&ga, &topo.graph, &result.mapping)
@@ -863,8 +810,6 @@ mod tests {
             );
             assert_eq!(r.mapping, sequential.mapping);
             assert_eq!(r.final_coco, sequential.final_coco);
-            assert_eq!(r.final_coco_plus, sequential.final_coco_plus);
-            assert_eq!(r.final_diversity, sequential.final_diversity);
             assert_eq!(r.hierarchies_accepted, sequential.hierarchies_accepted);
             assert_eq!(r.total_swaps, sequential.total_swaps);
             assert_eq!(r.total_repaired, sequential.total_repaired);
@@ -904,7 +849,7 @@ mod tests {
     #[test]
     fn tie_rounds_are_kept_and_reported_as_ties_in_telemetry() {
         // Accept-gate tie semantics, observed through the flight recorder:
-        // on an edgeless application graph every candidate has zero deltas,
+        // on an edgeless application graph every candidate has a zero delta,
         // so every round is an equal-objective tie — kept by the gate
         // (`AcceptGate::offer` folds it in), flagged `tie` on its gate
         // event, and counted in `RoundTelemetry::ties`.
@@ -927,7 +872,7 @@ mod tests {
         assert_eq!(result.telemetry.rounds(), nh);
 
         // One gate event per round, in round order, every one a kept tie
-        // with both deltas zero and the objective values unchanged.
+        // with a zero delta and Coco unchanged.
         let gates: Vec<_> = sink
             .events()
             .into_iter()
@@ -935,24 +880,20 @@ mod tests {
                 TraceEvent::Gate {
                     round,
                     coco_delta,
-                    div_delta,
                     accepted,
                     tie,
                     coco,
-                    div,
-                } => Some((round, coco_delta, div_delta, accepted, tie, coco, div)),
+                } => Some((round, coco_delta, accepted, tie, coco)),
                 _ => None,
             })
             .collect();
         assert_eq!(gates.len(), nh);
-        for (i, &(round, coco_delta, div_delta, accepted, tie, coco, div)) in
-            gates.iter().enumerate()
-        {
+        for (i, &(round, coco_delta, accepted, tie, coco)) in gates.iter().enumerate() {
             assert_eq!(round, i);
-            assert_eq!((coco_delta, div_delta), (0, 0));
+            assert_eq!(coco_delta, 0);
             assert!(accepted, "tie rounds are kept");
             assert!(tie, "zero-delta rounds must be flagged as ties");
-            assert_eq!((coco, div), (0, 0));
+            assert_eq!(coco, 0);
         }
     }
 

@@ -4,7 +4,7 @@
 //! Starting from the application graph with (digit-permuted) labels, each
 //! round first sweeps over all vertex pairs whose labels agree on everything
 //! but the last digit and swaps their labels whenever that improves the
-//! (level-local) `Coco⁺` estimate, and then contracts such pairs into single
+//! (level-local) `Coco` estimate, and then contracts such pairs into single
 //! vertices while cutting off the last digit. Repeating this until only two
 //! digits remain yields a hierarchy of graphs `G¹, …, G^{dim−1}` whose labels
 //! encode a recursive bipartition of `Ga` induced by the processor topology —
@@ -100,10 +100,10 @@ pub fn swap_pairs(labels: &[u64]) -> Vec<(NodeId, NodeId)> {
 }
 
 /// Sequential swap sweep: for every candidate pair, swap the labels if that
-/// strictly decreases the objective. Returns the number of swaps performed.
-pub fn sweep(graph: &Graph, labels: &mut [u64], p_mask: u64, e_mask: u64) -> usize {
+/// strictly decreases `Coco`. Returns the number of swaps performed.
+pub fn sweep(graph: &Graph, labels: &mut [u64], p_mask: u64) -> usize {
     let mut scratch = SweepScratch::default();
-    sweep_with(graph, labels, p_mask, e_mask, &mut scratch)
+    sweep_with(graph, labels, p_mask, &mut scratch)
 }
 
 /// [`sweep`] with caller-provided scratch buffers, for reuse across the
@@ -112,13 +112,12 @@ pub fn sweep_with(
     graph: &Graph,
     labels: &mut [u64],
     p_mask: u64,
-    e_mask: u64,
     scratch: &mut SweepScratch,
 ) -> usize {
     collect_swap_pairs(labels, scratch);
     let mut swaps = 0usize;
     for &(u, v) in &scratch.pairs {
-        if swap_delta(graph, labels, p_mask, e_mask, u, v) < 0 {
+        if swap_delta(graph, labels, p_mask, u, v) < 0 {
             labels.swap(u as usize, v as usize);
             swaps += 1;
         }
@@ -237,22 +236,14 @@ fn contract_level_presorted(
 
 /// Builds the full hierarchy for one permutation round: alternating swap
 /// sweeps and contractions until the labels have only two digits left
-/// (Algorithm 1, lines 9–14). `p_mask`/`e_mask` are the PE/extension digit
-/// masks *in the permuted label space*; they are truncated alongside the
-/// labels on coarser levels.
-pub fn build_hierarchy(
-    graph: &Graph,
-    labels: Vec<u64>,
-    dim: usize,
-    p_mask: u64,
-    e_mask: u64,
-) -> HierarchyRun {
+/// (Algorithm 1, lines 9–14). `p_mask` is the PE digit mask *in the permuted
+/// label space*; it is truncated alongside the labels on coarser levels.
+pub fn build_hierarchy(graph: &Graph, labels: Vec<u64>, dim: usize, p_mask: u64) -> HierarchyRun {
     build_hierarchy_traced(
         graph,
         labels,
         dim,
         p_mask,
-        e_mask,
         None,
         &TraceHandle::off(),
         &mut HierarchyScratch::default(),
@@ -267,13 +258,11 @@ pub fn build_hierarchy(
 /// and, when the caller keeps it alive (as the driver's speculative workers
 /// do), across hierarchy rounds. The result never depends on what a
 /// previous run left in the scratch.
-#[allow(clippy::too_many_arguments)] // mirrors build_hierarchy + trace context
 pub fn build_hierarchy_traced(
     graph: &Graph,
     labels: Vec<u64>,
     dim: usize,
     p_mask: u64,
-    e_mask: u64,
     hierarchy_round: Option<usize>,
     trace: &TraceHandle,
     scratch: &mut HierarchyScratch,
@@ -299,13 +288,11 @@ pub fn build_hierarchy_traced(
     // Paper: for i = 2 .. dim_Ga - 1; sweep on G^{i-1}, contract into G^i.
     let rounds = dim.saturating_sub(2);
     for round in 0..rounds {
-        let (pm, em) = (p_mask >> round, e_mask >> round);
         let t = Instant::now();
         total_swaps += sweep_with(
             &current_graph,
             &mut current_labels,
-            pm,
-            em,
+            p_mask >> round,
             &mut scratch.sweep,
         );
         let sweep_us = t.elapsed().as_micros() as u64;
@@ -355,7 +342,7 @@ pub fn build_hierarchy_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::objective_for_labels;
+    use crate::objective::coco_for_labels;
     use proptest::prelude::*;
     use tie_graph::{generators, GraphBuilder};
 
@@ -425,11 +412,10 @@ mod tests {
     fn sweep_never_increases_objective() {
         let (g, labels) = toy();
         let p_mask = 0b1110;
-        let e_mask = 0b0001;
         let mut l = labels.clone();
-        let before = objective_for_labels(&g, &l, p_mask, e_mask);
-        let swaps = sweep(&g, &mut l, p_mask, e_mask);
-        let after = objective_for_labels(&g, &l, p_mask, e_mask);
+        let before = coco_for_labels(&g, &l, p_mask);
+        let swaps = sweep(&g, &mut l, p_mask);
+        let after = coco_for_labels(&g, &l, p_mask);
         assert!(after <= before, "sweep must not worsen the objective");
         if swaps == 0 {
             assert_eq!(after, before);
@@ -496,12 +482,12 @@ mod tests {
     fn sweep_with_scratch_matches_sweep() {
         let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 4, 5);
         let labels: Vec<u64> = (0..96u64).collect();
-        let (p_mask, e_mask) = (0b111_0000, 0b000_1111);
+        let p_mask = 0b111_0000;
         let mut plain = labels.clone();
-        let plain_swaps = sweep(&g, &mut plain, p_mask, e_mask);
+        let plain_swaps = sweep(&g, &mut plain, p_mask);
         let mut scratched = labels.clone();
         let mut scratch = SweepScratch::default();
-        let scratched_swaps = sweep_with(&g, &mut scratched, p_mask, e_mask, &mut scratch);
+        let scratched_swaps = sweep_with(&g, &mut scratched, p_mask, &mut scratch);
         assert_eq!(plain_swaps, scratched_swaps);
         assert_eq!(plain, scratched);
     }
@@ -520,7 +506,7 @@ mod tests {
     fn hierarchy_has_expected_depth_and_sizes() {
         let (g, labels) = toy();
         let dim = 4;
-        let run = build_hierarchy(&g, labels, dim, 0b1110, 0b0001);
+        let run = build_hierarchy(&g, labels, dim, 0b1110);
         // dim - 1 = 3 levels: 8, 4, 2 vertices.
         assert_eq!(run.levels.len(), 3);
         assert_eq!(run.levels[0].graph.num_vertices(), 8);
@@ -550,7 +536,7 @@ mod tests {
     fn hierarchy_on_two_digit_labels_is_single_level() {
         let g = generators::path_graph(4);
         let labels = vec![0u64, 1, 2, 3];
-        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01);
+        let run = build_hierarchy(&g, labels.clone(), 2, 0b10);
         assert_eq!(run.levels.len(), 1);
         assert_eq!(run.levels[0].labels, labels);
         assert_eq!(run.total_swaps, 0);

@@ -1,107 +1,55 @@
-//! The mapping objectives of Sections 1 and 5: `Coco`, the diversity term
-//! `Div`, and the combined `Coco⁺ = Coco − Div`.
+//! The mapping objective of Sections 1 and 5: `Coco` (Eq. (3)).
 //!
-//! With the label encoding of [`crate::Labeling`] the objectives become pure
+//! With the label encoding of [`crate::Labeling`] the objective becomes pure
 //! bit arithmetic: for an edge `{u, v}` the Coco contribution is the Hamming
-//! distance of the PE-label parts and the Div contribution the Hamming
-//! distance of the extension parts, so
+//! distance of the PE-label parts,
 //!
 //! ```text
-//! Coco⁺ contribution = ω(u,v) · ( |(la(u)⊕la(v)) & p_mask| − |(la(u)⊕la(v)) & e_mask| ).
+//! Coco contribution = ω(u,v) · |(la(u)⊕la(v)) & p_mask|.
 //! ```
 //!
 //! The same formula evaluated on the coarse graphs of a hierarchy (with the
-//! masks truncated alongside the labels) yields the level-wise estimates used
+//! mask truncated alongside the labels) yields the level-wise estimates used
 //! during the multi-hierarchical search.
+//!
+//! The paper searches on `Coco⁺ = Coco − Div` (Eq. (14)), where `Div`
+//! (Eq. (12)) rewards extension-digit diversity. This crate optimizes plain
+//! `Coco` instead; see the README's "Deviation from the paper" note for the
+//! measurements behind that choice.
 
 use tie_graph::{Graph, NodeId};
 
 use crate::Labeling;
 
-/// Signed objective value (Coco⁺ can be negative because Div is subtracted).
-pub type Objective = i64;
-
-/// Per-edge Coco⁺ cost of a pair of labels under the given digit masks.
+/// Per-edge Coco cost of a pair of labels under the given PE-digit mask.
 #[inline]
-pub fn label_cost(a: u64, b: u64, p_mask: u64, e_mask: u64) -> i64 {
-    let x = a ^ b;
-    (x & p_mask).count_ones() as i64 - (x & e_mask).count_ones() as i64
+pub fn label_cost(a: u64, b: u64, p_mask: u64) -> i64 {
+    ((a ^ b) & p_mask).count_ones() as i64
 }
 
 /// `Coco(µ)` (Eq. (3)): total communication cost of the mapping encoded in
 /// the labeling.
 pub fn coco(graph: &Graph, labeling: &Labeling) -> u64 {
-    let p_mask = labeling.p_mask();
-    graph
-        .edges()
-        .map(|(u, v, w)| {
-            w * ((labeling.labels[u as usize] ^ labeling.labels[v as usize]) & p_mask).count_ones()
-                as u64
-        })
-        .sum()
+    coco_for_labels(graph, &labeling.labels, labeling.p_mask())
 }
 
-/// `Div(la)` (Eq. (12)): diversity of the extension labels.
-pub fn diversity(graph: &Graph, labeling: &Labeling) -> u64 {
-    let e_mask = labeling.ext_mask();
-    graph
-        .edges()
-        .map(|(u, v, w)| {
-            w * ((labeling.labels[u as usize] ^ labeling.labels[v as usize]) & e_mask).count_ones()
-                as u64
-        })
-        .sum()
-}
-
-/// `Coco⁺(la) = Coco(la) − Div(la)` (Eq. (14)).
-pub fn coco_plus(graph: &Graph, labeling: &Labeling) -> Objective {
-    coco(graph, labeling) as i64 - diversity(graph, labeling) as i64
-}
-
-/// Generic objective over raw labels and masks (used on coarse levels, where
+/// `Coco` over raw labels and a PE-digit mask (used on coarse levels, where
 /// labels and masks have been truncated and possibly permuted).
-pub fn objective_for_labels(graph: &Graph, labels: &[u64], p_mask: u64, e_mask: u64) -> Objective {
+pub fn coco_for_labels(graph: &Graph, labels: &[u64], p_mask: u64) -> u64 {
     graph
         .edges()
-        .map(|(u, v, w)| {
-            w as i64 * label_cost(labels[u as usize], labels[v as usize], p_mask, e_mask)
-        })
+        .map(|(u, v, w)| w * label_cost(labels[u as usize], labels[v as usize], p_mask) as u64)
         .sum()
 }
 
-/// Plain `Coco` and `Div` of raw labels in one edge scan. The driver seeds
-/// its [`AcceptGate`] from this instead of scanning the edges once per term.
-pub fn coco_and_div_for_labels(
-    graph: &Graph,
-    labels: &[u64],
-    p_mask: u64,
-    e_mask: u64,
-) -> (u64, u64) {
-    let mut coco = 0u64;
-    let mut div = 0u64;
-    for (u, v, w) in graph.edges() {
-        let x = labels[u as usize] ^ labels[v as usize];
-        coco += w * (x & p_mask).count_ones() as u64;
-        div += w * (x & e_mask).count_ones() as u64;
-    }
-    (coco, div)
-}
-
-/// Exact change of `(Coco, Div)` between two labelings of the same graph,
-/// scanning only the edges incident to relabelled vertices. A hierarchy round
-/// typically relabels a fraction of the vertices, so this replaces the two
-/// full edge scans the accept gate used to pay per round.
-pub fn coco_div_delta(
-    graph: &Graph,
-    old: &[u64],
-    new: &[u64],
-    p_mask: u64,
-    e_mask: u64,
-) -> (i64, i64) {
+/// Exact change of `Coco` between two labelings of the same graph, scanning
+/// only the edges incident to relabelled vertices. A hierarchy round
+/// typically relabels a fraction of the vertices, so this replaces the full
+/// edge scan the accept gate would otherwise pay per round.
+pub fn coco_delta(graph: &Graph, old: &[u64], new: &[u64], p_mask: u64) -> i64 {
     debug_assert_eq!(old.len(), new.len());
     let changed: Vec<bool> = old.iter().zip(new).map(|(a, b)| a != b).collect();
-    let mut coco = 0i64;
-    let mut div = 0i64;
+    let mut delta = 0i64;
     for (u, &u_changed) in changed.iter().enumerate() {
         if !u_changed {
             continue;
@@ -113,72 +61,53 @@ pub fn coco_div_delta(
             if changed[wi] && wi < u {
                 continue;
             }
-            let xo = old[u] ^ old[wi];
-            let xn = new[u] ^ new[wi];
-            coco +=
-                wt as i64 * ((xn & p_mask).count_ones() as i64 - (xo & p_mask).count_ones() as i64);
-            div +=
-                wt as i64 * ((xn & e_mask).count_ones() as i64 - (xo & e_mask).count_ones() as i64);
+            delta += wt as i64
+                * (label_cost(new[u], new[wi], p_mask) - label_cost(old[u], old[wi], p_mask));
         }
     }
-    (coco, div)
+    delta
 }
 
-/// The driver's accept gate (Algorithm 1, lines 17–19, plus the Coco guard):
-/// a candidate labeling is **kept** iff it worsens neither the search
-/// objective `Coco − Div` nor plain `Coco`. A candidate with two zero deltas
-/// (an equal-objective round) is kept too — it replaces the labeling — so
+/// The driver's accept gate (Algorithm 1, lines 17–19): a candidate
+/// labeling is **kept** iff it does not worsen `Coco`. A candidate with
+/// `ΔCoco = 0` (a tie) is kept too — it replaces the labeling — so
 /// [`AcceptGate::kept`], not "strictly improved", is what
 /// `TimerResult::hierarchies_accepted` reports.
 ///
-/// The gate carries the accepted `Coco`/`Div` values across rounds and folds
-/// in the per-round deltas of [`coco_div_delta`], so accepting a round costs
-/// O(1) instead of a full-graph objective recompute.
+/// The gate carries the accepted `Coco` across rounds and folds in the
+/// per-round deltas of [`coco_delta`], so accepting a round costs O(1)
+/// instead of a full-graph objective recompute.
 #[derive(Clone, Debug)]
 pub struct AcceptGate {
     coco: i64,
-    div: i64,
     kept: usize,
 }
 
 impl AcceptGate {
-    /// Gate seeded with the objective values of the initial labeling.
-    pub fn new(coco: u64, div: u64) -> Self {
+    /// Gate seeded with the `Coco` of the initial labeling.
+    pub fn new(coco: u64) -> Self {
         AcceptGate {
             coco: coco as i64,
-            div: div as i64,
             kept: 0,
         }
     }
 
-    /// Accepted plain `Coco`.
+    /// Accepted `Coco`.
     pub fn coco(&self) -> i64 {
         self.coco
     }
 
-    /// Accepted `Div`.
-    pub fn div(&self) -> i64 {
-        self.div
-    }
-
-    /// Accepted search objective `Coco − Div`.
-    pub fn objective(&self) -> i64 {
-        self.coco - self.div
-    }
-
-    /// Number of candidates kept so far (including equal-objective ones).
+    /// Number of candidates kept so far (including ties).
     pub fn kept(&self) -> usize {
         self.kept
     }
 
-    /// Offers a candidate by its exact `(Coco, Div)` deltas against the
-    /// currently accepted labeling. Returns whether the candidate is kept;
-    /// if so the deltas are folded into the accepted values.
-    pub fn offer(&mut self, coco_delta: i64, div_delta: i64) -> bool {
-        let objective_delta = coco_delta - div_delta;
-        if objective_delta <= 0 && coco_delta <= 0 {
+    /// Offers a candidate by its exact `Coco` delta against the currently
+    /// accepted labeling. Returns whether the candidate is kept; if so the
+    /// delta is folded into the accepted value.
+    pub fn offer(&mut self, coco_delta: i64) -> bool {
+        if coco_delta <= 0 {
             self.coco += coco_delta;
-            self.div += div_delta;
             self.kept += 1;
             true
         } else {
@@ -187,16 +116,9 @@ impl AcceptGate {
     }
 }
 
-/// Change of the objective if the labels of `u` and `v` were swapped
+/// Change of `Coco` if the labels of `u` and `v` were swapped
 /// (negative = improvement). The edge `{u, v}` itself does not change.
-pub fn swap_delta(
-    graph: &Graph,
-    labels: &[u64],
-    p_mask: u64,
-    e_mask: u64,
-    u: NodeId,
-    v: NodeId,
-) -> i64 {
+pub fn swap_delta(graph: &Graph, labels: &[u64], p_mask: u64, u: NodeId, v: NodeId) -> i64 {
     let (lu, lv) = (labels[u as usize], labels[v as usize]);
     if lu == lv {
         return 0;
@@ -207,16 +129,14 @@ pub fn swap_delta(
             continue;
         }
         let lw = labels[w as usize];
-        delta +=
-            wt as i64 * (label_cost(lv, lw, p_mask, e_mask) - label_cost(lu, lw, p_mask, e_mask));
+        delta += wt as i64 * (label_cost(lv, lw, p_mask) - label_cost(lu, lw, p_mask));
     }
     for (w, wt) in graph.edges_of(v) {
         if w == u {
             continue;
         }
         let lw = labels[w as usize];
-        delta +=
-            wt as i64 * (label_cost(lu, lw, p_mask, e_mask) - label_cost(lv, lw, p_mask, e_mask));
+        delta += wt as i64 * (label_cost(lu, lw, p_mask) - label_cost(lv, lw, p_mask));
     }
     delta
 }
@@ -254,62 +174,35 @@ mod tests {
     }
 
     #[test]
-    fn coco_plus_is_coco_minus_div() {
-        let (ga, labeling, _, _) = setup();
-        assert_eq!(
-            coco_plus(&ga, &labeling),
-            coco(&ga, &labeling) as i64 - diversity(&ga, &labeling) as i64
-        );
-    }
-
-    #[test]
     fn objective_for_labels_agrees_with_struct_version() {
         let (ga, labeling, _, _) = setup();
-        let obj = objective_for_labels(
-            &ga,
-            &labeling.labels,
-            labeling.p_mask(),
-            labeling.ext_mask(),
+        assert_eq!(
+            coco_for_labels(&ga, &labeling.labels, labeling.p_mask()),
+            coco(&ga, &labeling)
         );
-        assert_eq!(obj, coco_plus(&ga, &labeling));
     }
 
     #[test]
     fn swap_delta_matches_recomputation() {
         let (ga, labeling, _, _) = setup();
-        let (p_mask, e_mask) = (labeling.p_mask(), labeling.ext_mask());
-        let base = objective_for_labels(&ga, &labeling.labels, p_mask, e_mask);
+        let p_mask = labeling.p_mask();
+        let base = coco_for_labels(&ga, &labeling.labels, p_mask) as i64;
         // Check a spread of vertex pairs, adjacent and not.
         for (u, v) in [(0u32, 1u32), (5, 17), (3, 200), (10, 11), (40, 41)] {
             let mut swapped = labeling.labels.clone();
             swapped.swap(u as usize, v as usize);
-            let expected = objective_for_labels(&ga, &swapped, p_mask, e_mask) - base;
-            assert_eq!(
-                swap_delta(&ga, &labeling.labels, p_mask, e_mask, u, v),
-                expected
-            );
+            let expected = coco_for_labels(&ga, &swapped, p_mask) as i64 - base;
+            assert_eq!(swap_delta(&ga, &labeling.labels, p_mask, u, v), expected);
         }
     }
 
-    #[test]
-    fn coco_and_div_single_scan_agrees_with_separate_scans() {
-        let (ga, labeling, _, _) = setup();
-        let (c, d) = coco_and_div_for_labels(
-            &ga,
-            &labeling.labels,
-            labeling.p_mask(),
-            labeling.ext_mask(),
-        );
-        assert_eq!(c, coco(&ga, &labeling));
-        assert_eq!(d, diversity(&ga, &labeling));
-    }
-
+    // The name predates the removal of the Div term; the test checks Coco.
     #[test]
     fn coco_div_delta_matches_full_recomputation() {
         let (ga, labeling, _, _) = setup();
-        let (p_mask, e_mask) = (labeling.p_mask(), labeling.ext_mask());
+        let p_mask = labeling.p_mask();
         let old = &labeling.labels;
-        let (c0, d0) = coco_and_div_for_labels(&ga, old, p_mask, e_mask);
+        let c0 = coco_for_labels(&ga, old, p_mask);
         // A wholesale relabeling touching a scattered set of vertices, the
         // shape a hierarchy round produces: swap several disjoint pairs and
         // rotate one triple (adjacent and non-adjacent vertices alike).
@@ -321,63 +214,32 @@ mod tests {
         new[60] = new[61];
         new[61] = new[62];
         new[62] = tmp;
-        let (c1, d1) = coco_and_div_for_labels(&ga, &new, p_mask, e_mask);
-        assert_eq!(
-            coco_div_delta(&ga, old, &new, p_mask, e_mask),
-            (c1 as i64 - c0 as i64, d1 as i64 - d0 as i64)
-        );
+        let c1 = coco_for_labels(&ga, &new, p_mask);
+        assert_eq!(coco_delta(&ga, old, &new, p_mask), c1 as i64 - c0 as i64);
         // Identical labelings have zero delta.
-        assert_eq!(coco_div_delta(&ga, old, old, p_mask, e_mask), (0, 0));
+        assert_eq!(coco_delta(&ga, old, old, p_mask), 0);
     }
 
     #[test]
     fn accept_gate_keeps_equal_objective_candidates_and_counts_them() {
-        let mut gate = AcceptGate::new(100, 10);
-        assert_eq!(gate.objective(), 90);
+        let mut gate = AcceptGate::new(100);
         // Strict improvement: kept.
-        assert!(gate.offer(-5, 0));
-        assert_eq!((gate.coco(), gate.div(), gate.kept()), (95, 10, 1));
-        // Equal-objective candidate (both deltas zero): also kept — the
-        // labels are replaced — and therefore counted.
-        assert!(gate.offer(0, 0));
-        assert_eq!(gate.kept(), 2);
-        // Worse objective: rejected, values untouched.
-        assert!(!gate.offer(3, 0));
+        assert!(gate.offer(-5));
+        assert_eq!((gate.coco(), gate.kept()), (95, 1));
+        // Tie (zero delta): also kept — the labels are replaced — and
+        // therefore counted.
+        assert!(gate.offer(0));
         assert_eq!((gate.coco(), gate.kept()), (95, 2));
-        // Div growing faster than Coco shrinks the objective but would drag
-        // plain Coco upward: the Coco guard rejects it.
-        assert!(!gate.offer(2, 7));
-        assert_eq!((gate.coco(), gate.div(), gate.kept()), (95, 10, 2));
-        // Div-only improvement with flat Coco: kept.
-        assert!(gate.offer(0, 4));
-        assert_eq!((gate.coco(), gate.div(), gate.kept()), (95, 14, 3));
+        // Worse Coco: rejected, values untouched.
+        assert!(!gate.offer(3));
+        assert_eq!((gate.coco(), gate.kept()), (95, 2));
     }
 
     #[test]
     fn swapping_identical_labels_changes_nothing() {
         let g = generators::path_graph(3);
         let labels = vec![5u64, 5, 6];
-        assert_eq!(swap_delta(&g, &labels, !0, 0, 0, 1), 0);
-    }
-
-    #[test]
-    fn diversity_counts_extension_bits_only() {
-        // Two adjacent vertices in the same block with different extensions
-        // contribute to Div but not to Coco.
-        let g = generators::path_graph(2);
-        let mut labeling = {
-            let topo = Topology::path(2);
-            let pcube = recognize_partial_cube(&topo.graph).unwrap();
-            let mapping = Mapping::new(vec![0, 0], 2);
-            Labeling::from_mapping(&g, &pcube, &mapping, 0).unwrap()
-        };
-        // Force known labels: same lp part (PE 0), different extension bits.
-        let lp0 = labeling.labels[0] >> labeling.ext_bits;
-        labeling.labels[0] = lp0 << labeling.ext_bits;
-        labeling.labels[1] = (lp0 << labeling.ext_bits) | 1;
-        assert_eq!(coco(&g, &labeling), 0);
-        assert_eq!(diversity(&g, &labeling), 1);
-        assert_eq!(coco_plus(&g, &labeling), -1);
+        assert_eq!(swap_delta(&g, &labels, !0, 0, 1), 0);
     }
 
     #[test]

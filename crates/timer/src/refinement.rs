@@ -21,38 +21,27 @@ use crate::objective::swap_delta;
 pub struct PolishStats {
     /// Number of label swaps applied.
     pub swaps: usize,
-    /// Total improvement of the objective (Coco⁺, as a positive number).
+    /// Total improvement of `Coco` (as a positive number).
     pub objective_gain: i64,
     /// Number of full sweeps executed.
     pub sweeps: usize,
 }
 
 /// Runs up to `max_sweeps` polishing sweeps over the cut edges of `graph`,
-/// swapping endpoint labels whenever that improves Coco⁺ (or plain Coco when
-/// `use_diversity` is false). Returns swap statistics.
-pub fn polish(
-    graph: &Graph,
-    labeling: &mut Labeling,
-    use_diversity: bool,
-    max_sweeps: usize,
-) -> PolishStats {
+/// swapping endpoint labels whenever that improves `Coco`. Returns swap
+/// statistics.
+pub fn polish(graph: &Graph, labeling: &mut Labeling, max_sweeps: usize) -> PolishStats {
     let p_mask = labeling.p_mask();
-    let e_mask = if use_diversity {
-        labeling.ext_mask()
-    } else {
-        0
-    };
     let mut stats = PolishStats::default();
     for _ in 0..max_sweeps {
         let mut improved_this_sweep = false;
         for (u, v, _) in graph.edges() {
             // Only consider pairs currently mapped to different PEs: swapping
-            // labels of same-PE endpoints can only affect the diversity term
-            // and is handled well enough by the hierarchy sweeps.
+            // labels of same-PE endpoints cannot change Coco.
             if labeling.lp_part(u) == labeling.lp_part(v) {
                 continue;
             }
-            let delta = swap_delta(graph, &labeling.labels, p_mask, e_mask, u, v);
+            let delta = swap_delta(graph, &labeling.labels, p_mask, u, v);
             if delta < 0 {
                 labeling.labels.swap(u as usize, v as usize);
                 stats.swaps += 1;
@@ -71,7 +60,7 @@ pub fn polish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{coco, coco_plus};
+    use crate::objective::coco;
     use tie_graph::generators;
     use tie_mapping::Mapping;
     use tie_partition::{partition, PartitionConfig};
@@ -93,12 +82,12 @@ mod tests {
     #[test]
     fn polish_improves_objective_and_preserves_label_set() {
         let (ga, mut labeling, _) = labeled_instance(1);
-        let before_plus = coco_plus(&ga, &labeling);
+        let before = coco(&ga, &labeling) as i64;
         let before_set = labeling.sorted_label_set();
-        let stats = polish(&ga, &mut labeling, true, 5);
-        let after_plus = coco_plus(&ga, &labeling);
-        assert!(after_plus <= before_plus);
-        assert_eq!(before_plus - after_plus, stats.objective_gain);
+        let stats = polish(&ga, &mut labeling, 5);
+        let after = coco(&ga, &labeling) as i64;
+        assert!(after <= before);
+        assert_eq!(before - after, stats.objective_gain);
         assert_eq!(labeling.sorted_label_set(), before_set);
         assert!(labeling.is_unique());
         assert!(
@@ -111,16 +100,16 @@ mod tests {
     fn polish_without_diversity_never_worsens_plain_coco() {
         let (ga, mut labeling, _) = labeled_instance(2);
         let before = coco(&ga, &labeling);
-        polish(&ga, &mut labeling, false, 5);
+        polish(&ga, &mut labeling, 5);
         assert!(coco(&ga, &labeling) <= before);
     }
 
     #[test]
     fn polish_is_idempotent_at_fixed_point() {
         let (ga, mut labeling, _) = labeled_instance(3);
-        polish(&ga, &mut labeling, true, 20);
+        polish(&ga, &mut labeling, 20);
         let frozen = labeling.labels.clone();
-        let stats = polish(&ga, &mut labeling, true, 20);
+        let stats = polish(&ga, &mut labeling, 20);
         assert_eq!(stats.swaps, 0);
         assert_eq!(labeling.labels, frozen);
     }
@@ -133,9 +122,9 @@ mod tests {
         let result =
             crate::enhance_mapping(&ga, &pcube, &mapping, crate::TimerConfig::new(5, 4)).unwrap();
         let mut labeling = result.labeling.clone();
-        let before = coco_plus(&ga, &labeling);
-        let stats = polish(&ga, &mut labeling, true, 5);
-        assert!(coco_plus(&ga, &labeling) <= before);
+        let before = coco(&ga, &labeling);
+        let stats = polish(&ga, &mut labeling, 5);
+        assert!(coco(&ga, &labeling) <= before);
         // Polishing after TIMER may or may not find more swaps, but it must
         // never break uniqueness.
         assert!(labeling.is_unique());

@@ -1,12 +1,12 @@
 //! Per-run accept-gate and phase telemetry, summarized into
 //! [`crate::TimerResult`].
 //!
-//! The driver already computes an exact `(ΔCoco, ΔDiv)` pair per hierarchy
-//! round (the incidence-limited scan feeding the accept gate), so recording
-//! the gate's evidence here adds no full-graph recomputes — the telemetry
-//! rides the existing delta scan. Collection is unconditional: it is a
+//! The driver already computes an exact `ΔCoco` per hierarchy round (the
+//! incidence-limited scan feeding the accept gate), so recording the gate's
+//! evidence here adds no full-graph recomputes — the telemetry rides the
+//! existing delta scan. Collection is unconditional: it is a
 //! handful of integer ops per round, and having the summary always present
-//! lets `bench_timer` embed gate histograms into `BENCH_timer.json` without
+//! lets `bench_timer` embed the gate histogram into `BENCH_timer.json` without
 //! turning tracing on.
 
 use tie_trace::{LogHistogram, PhaseTimes};
@@ -14,10 +14,10 @@ use tie_trace::{LogHistogram, PhaseTimes};
 use crate::error::StopReason;
 
 /// Summary of one `Timer::enhance` run: accept-gate verdict counts, the
-/// distributions of the per-round objective deltas, and a per-phase
+/// distribution of the per-round `ΔCoco`, and a per-phase
 /// wall-clock breakdown.
 ///
-/// The gate-side fields (`accepted`, `rejected`, `ties`, the histograms) are
+/// The gate-side fields (`accepted`, `rejected`, `ties`, the histogram) are
 /// part of the deterministic trajectory and therefore byte-identical across
 /// every `(threads, batch)` setting. `phases` is wall-clock and is not:
 /// speculated rounds that get invalidated still burned real time, which the
@@ -29,13 +29,11 @@ pub struct RoundTelemetry {
     pub accepted: usize,
     /// Rounds the gate rejected.
     pub rejected: usize,
-    /// Kept rounds whose objective delta was zero (`ΔCoco == ΔDiv`): the
-    /// tie-keeps that replace the labeling without improving `Coco⁺`.
+    /// Kept rounds whose `ΔCoco` was zero: the tie-keeps that replace the
+    /// labeling without improving `Coco`.
     pub ties: usize,
     /// Distribution of the per-round `ΔCoco` the gate ruled on.
     pub delta_coco: LogHistogram,
-    /// Distribution of the per-round `ΔDiv` the gate ruled on.
-    pub delta_div: LogHistogram,
     /// Accumulated wall-clock per pipeline phase across the whole run
     /// (including invalidated speculations — real work is counted).
     pub phases: PhaseTimes,
@@ -51,7 +49,7 @@ pub struct RoundTelemetry {
 
 impl RoundTelemetry {
     /// Records one gate verdict. `tie` implies `accepted`.
-    pub fn record_gate(&mut self, coco_delta: i64, div_delta: i64, accepted: bool, tie: bool) {
+    pub fn record_gate(&mut self, coco_delta: i64, accepted: bool, tie: bool) {
         debug_assert!(accepted || !tie, "a tie is by definition kept");
         if accepted {
             self.accepted += 1;
@@ -62,7 +60,6 @@ impl RoundTelemetry {
             self.rejected += 1;
         }
         self.delta_coco.record(coco_delta);
-        self.delta_div.record(div_delta);
     }
 
     /// Total rounds the gate ruled on (`accepted + rejected`).
@@ -78,7 +75,6 @@ impl RoundTelemetry {
             && self.rejected == other.rejected
             && self.ties == other.ties
             && self.delta_coco == other.delta_coco
-            && self.delta_div == other.delta_div
     }
 }
 
@@ -89,16 +85,15 @@ mod tests {
     #[test]
     fn gate_recording_counts_and_histograms() {
         let mut t = RoundTelemetry::default();
-        t.record_gate(-5, -1, true, false);
-        t.record_gate(0, 0, true, true);
-        t.record_gate(3, -2, false, false);
-        t.record_gate(2, 2, true, true);
+        t.record_gate(-5, true, false);
+        t.record_gate(0, true, true);
+        t.record_gate(3, false, false);
+        t.record_gate(0, true, true);
         assert_eq!(t.accepted, 3);
         assert_eq!(t.rejected, 1);
         assert_eq!(t.ties, 2);
         assert_eq!(t.rounds(), 4);
         assert_eq!(t.delta_coco.count(), 4);
-        assert_eq!(t.delta_div.count(), 4);
         assert_eq!(t.delta_coco.min(), Some(-5));
         assert_eq!(t.delta_coco.max(), Some(3));
     }
@@ -107,12 +102,12 @@ mod tests {
     fn gate_trajectory_comparison_ignores_phases() {
         let mut a = RoundTelemetry::default();
         let mut b = RoundTelemetry::default();
-        a.record_gate(-1, 0, true, false);
-        b.record_gate(-1, 0, true, false);
+        a.record_gate(-1, true, false);
+        b.record_gate(-1, true, false);
         a.phases.add(tie_trace::Phase::Sweep, 123);
         b.phases.add(tie_trace::Phase::Sweep, 456);
         assert!(a.same_gate_trajectory(&b));
-        b.record_gate(1, 1, true, true);
+        b.record_gate(0, true, true);
         assert!(!a.same_gate_trajectory(&b));
     }
 }

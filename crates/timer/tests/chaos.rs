@@ -65,10 +65,6 @@ fn assert_same_trajectory(a: &TimerResult, b: &TimerResult, context: &str) {
     assert_eq!(a.mapping, b.mapping, "{context}: mapping");
     assert_eq!(a.final_coco, b.final_coco, "{context}: final_coco");
     assert_eq!(
-        a.final_coco_plus, b.final_coco_plus,
-        "{context}: final_coco_plus"
-    );
-    assert_eq!(
         a.hierarchies_accepted, b.hierarchies_accepted,
         "{context}: hierarchies_accepted"
     );
@@ -212,22 +208,23 @@ fn rejection_stopping_rule_truncates_identically_across_threads() {
 #[test]
 fn zero_deadline_and_zero_k_are_rejected_up_front() {
     let (ga, pcube, mapping, _) = fixture();
-    let err = enhance_mapping(
-        &ga,
-        &pcube,
-        &mapping,
+    for cfg in [
         TimerConfig::new(NH, SEED).with_deadline(Duration::ZERO),
-    )
-    .unwrap_err();
-    assert!(matches!(err, TieError::InvalidInput(_)), "{err:?}");
-    let err = enhance_mapping(
-        &ga,
-        &pcube,
-        &mapping,
         TimerConfig::new(NH, SEED).stop_after_rejections(0),
-    )
-    .unwrap_err();
-    assert!(matches!(err, TieError::InvalidInput(_)), "{err:?}");
+        // The resource caps bound what one run may allocate: NH × dim
+        // permutation words, one hierarchy scratch per thread, one label
+        // vector per batch slot.
+        TimerConfig::new(tie_timer::MAX_HIERARCHIES + 1, SEED),
+        TimerConfig::new(NH, SEED).with_threads(tie_timer::MAX_THREADS + 1),
+        TimerConfig::new(NH, SEED).with_batch(tie_timer::MAX_BATCH + 1),
+    ] {
+        let err = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap_err();
+        assert!(matches!(err, TieError::InvalidInput(_)), "{err:?}");
+    }
+    let at_caps = TimerConfig::new(tie_timer::MAX_HIERARCHIES, SEED)
+        .with_threads(tie_timer::MAX_THREADS)
+        .with_batch(tie_timer::MAX_BATCH);
+    assert!(at_caps.validate().is_ok());
 }
 
 #[test]

@@ -24,8 +24,6 @@ pub enum TraceEvent {
         batch: usize,
         /// `Coco` of the initial labeling.
         initial_coco: u64,
-        /// `Div` of the initial labeling (0 when diversity is disabled).
-        initial_div: u64,
     },
     /// The accept gate ruled on one hierarchy round. Exactly `nh` of these
     /// are emitted per run, in round order, with the exact deltas the gate
@@ -35,17 +33,12 @@ pub enum TraceEvent {
         round: usize,
         /// Exact `Coco` change of the candidate vs the accepted labeling.
         coco_delta: i64,
-        /// Exact `Div` change of the candidate vs the accepted labeling.
-        div_delta: i64,
         /// Whether the candidate was kept.
         accepted: bool,
-        /// Whether it was kept as an equal-objective tie
-        /// (`coco_delta == div_delta`, so `ΔCoco⁺ = 0`).
+        /// Whether it was kept as a tie (`coco_delta == 0`).
         tie: bool,
         /// Accepted `Coco` after the verdict.
         coco: i64,
-        /// Accepted `Div` after the verdict.
-        div: i64,
     },
     /// A pipeline phase finished (span-style: emitted at span end, duration
     /// attached). `round`/`level` locate the span when applicable.
@@ -95,8 +88,6 @@ pub enum TraceEvent {
     RunEnd {
         /// `Coco` of the final labeling.
         final_coco: u64,
-        /// `Div` of the final labeling.
-        final_div: u64,
         /// Rounds kept (including equal-objective ties).
         accepted: usize,
         /// Rounds rejected.
@@ -154,28 +145,24 @@ impl TraceEvent {
                 threads,
                 batch,
                 initial_coco,
-                initial_div,
             } => {
                 let _ = write!(
                     s,
                     ", \"nh\": {nh}, \"threads\": {threads}, \"batch\": {batch}, \
-                     \"initial_coco\": {initial_coco}, \"initial_div\": {initial_div}"
+                     \"initial_coco\": {initial_coco}"
                 );
             }
             TraceEvent::Gate {
                 round,
                 coco_delta,
-                div_delta,
                 accepted,
                 tie,
                 coco,
-                div,
             } => {
                 let _ = write!(
                     s,
                     ", \"round\": {round}, \"coco_delta\": {coco_delta}, \
-                     \"div_delta\": {div_delta}, \"accepted\": {accepted}, \"tie\": {tie}, \
-                     \"coco\": {coco}, \"div\": {div}"
+                     \"accepted\": {accepted}, \"tie\": {tie}, \"coco\": {coco}"
                 );
             }
             TraceEvent::Phase {
@@ -224,7 +211,6 @@ impl TraceEvent {
             }
             TraceEvent::RunEnd {
                 final_coco,
-                final_div,
                 accepted,
                 rejected,
                 ties,
@@ -233,7 +219,7 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    ", \"final_coco\": {final_coco}, \"final_div\": {final_div}, \
+                    ", \"final_coco\": {final_coco}, \
                      \"accepted\": {accepted}, \"rejected\": {rejected}, \"ties\": {ties}, \
                      \"stop_reason\": \"{stop_reason}\", \"worker_panics\": {worker_panics}"
                 );
@@ -253,22 +239,18 @@ impl TraceEvent {
                 threads,
                 batch,
                 initial_coco,
-                initial_div,
             } => {
                 let _ = write!(
                     s,
-                    "run start: NH={nh} threads={threads} batch={batch} \
-                     Coco={initial_coco} Div={initial_div}"
+                    "run start: NH={nh} threads={threads} batch={batch} Coco={initial_coco}"
                 );
             }
             TraceEvent::Gate {
                 round,
                 coco_delta,
-                div_delta,
                 accepted,
                 tie,
                 coco,
-                div,
             } => {
                 let verdict = match (accepted, tie) {
                     (true, true) => "TIE ",
@@ -277,9 +259,7 @@ impl TraceEvent {
                 };
                 let _ = write!(
                     s,
-                    "round {round:>3}: {verdict} dCoco={coco_delta:+} dDiv={div_delta:+} \
-                     dObj={:+} -> Coco={coco} Div={div}",
-                    coco_delta - div_delta
+                    "round {round:>3}: {verdict} dCoco={coco_delta:+} -> Coco={coco}"
                 );
             }
             TraceEvent::Phase {
@@ -328,7 +308,6 @@ impl TraceEvent {
             }
             TraceEvent::RunEnd {
                 final_coco,
-                final_div,
                 accepted,
                 rejected,
                 ties,
@@ -337,7 +316,7 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    "run end: Coco={final_coco} Div={final_div} \
+                    "run end: Coco={final_coco} \
                      accepted={accepted} (ties {ties}) rejected={rejected} \
                      stop={stop_reason}"
                 );
@@ -361,16 +340,13 @@ mod tests {
                 threads: 2,
                 batch: 2,
                 initial_coco: 71581,
-                initial_div: 120933,
             },
             TraceEvent::Gate {
                 round: 3,
                 coco_delta: -12,
-                div_delta: 40,
                 accepted: false,
                 tie: false,
                 coco: 71581,
-                div: 120933,
             },
             TraceEvent::Phase {
                 phase: Phase::Sweep,
@@ -393,7 +369,6 @@ mod tests {
             },
             TraceEvent::RunEnd {
                 final_coco: 71581,
-                final_div: 120933,
                 accepted: 0,
                 rejected: 40,
                 ties: 0,
@@ -435,16 +410,13 @@ mod tests {
         let e = TraceEvent::Gate {
             round: 17,
             coco_delta: -3,
-            div_delta: 5,
             accepted: false,
             tie: false,
             coco: 100,
-            div: 50,
         };
         let json = e.to_json(0, 0);
         assert!(json.contains("\"round\": 17"));
         assert!(json.contains("\"coco_delta\": -3"));
-        assert!(json.contains("\"div_delta\": 5"));
         assert!(json.contains("\"accepted\": false"));
         assert!(json.contains("\"tie\": false"));
     }
@@ -504,11 +476,9 @@ mod tests {
         let tie = TraceEvent::Gate {
             round: 0,
             coco_delta: 0,
-            div_delta: 0,
             accepted: true,
             tie: true,
             coco: 0,
-            div: 0,
         };
         assert!(tie.to_human(0, 0).contains("TIE"));
     }

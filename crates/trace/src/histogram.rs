@@ -1,8 +1,8 @@
 //! Log₂-bucketed histograms for signed objective deltas.
 //!
-//! The accept gate sees one `(ΔCoco, ΔDiv)` pair per hierarchy round; the
-//! histogram condenses those into a shape ("is Div systematically sinking
-//! candidates, and by how much?") without storing the full series. Buckets
+//! The accept gate sees one `ΔCoco` per hierarchy round; the histogram
+//! condenses those into a shape ("how far above zero do rejected candidates
+//! land?") without storing the full series. Buckets
 //! are powers of two mirrored around zero: zero has its own bucket, and a
 //! magnitude `m > 0` lands in the bucket `[2^b, 2^{b+1})` with
 //! `b = floor(log₂ m)`, on the positive or negative side according to sign.

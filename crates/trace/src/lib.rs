@@ -5,7 +5,7 @@
 //! decision and pipeline phase explainable after the fact.
 //!
 //! The ICPP'18 TIMER loop runs `NH` hierarchy rounds and discards the
-//! per-round `(ΔCoco, ΔDiv)` evidence the moment the accept gate has ruled
+//! per-round `ΔCoco` evidence the moment the accept gate has ruled
 //! on it — which is why anomalies like the medium-scale 0/40 acceptance
 //! collapse in `BENCH_timer.json` were invisible. This crate provides the
 //! recording substrate:
@@ -21,8 +21,8 @@
 //!   gate verdicts with their exact deltas, span-style phase timings with
 //!   monotonic timestamps and thread ids, and speculation commit/invalidate
 //!   records.
-//! * [`LogHistogram`] — log₂-bucketed signed histograms for the ΔCoco/ΔDiv
-//!   distributions, built from the deltas the gate already computes (no
+//! * [`LogHistogram`] — log₂-bucketed signed histograms for the ΔCoco
+//!   distribution, built from the deltas the gate already computes (no
 //!   extra full-graph recomputes).
 //! * [`Phase`] / [`PhaseTimes`] — a fixed phase vocabulary and a zero-alloc
 //!   accumulator for per-phase wall-clock breakdowns.
@@ -191,7 +191,6 @@ mod tests {
         // Emitting into the void must not panic.
         h.emit(TraceEvent::RunEnd {
             final_coco: 0,
-            final_div: 0,
             accepted: 0,
             rejected: 0,
             ties: 0,
@@ -215,11 +214,9 @@ mod tests {
         h.emit(TraceEvent::Gate {
             round: 0,
             coco_delta: -1,
-            div_delta: 0,
             accepted: true,
             tie: false,
             coco: 9,
-            div: 0,
         });
         // Phase-level and debug-level events must be filtered out.
         h.emit(TraceEvent::Phase {
@@ -245,11 +242,9 @@ mod tests {
             h.emit(TraceEvent::Gate {
                 round,
                 coco_delta: 0,
-                div_delta: 0,
                 accepted: true,
                 tie: true,
                 coco: 0,
-                div: 0,
             });
         }
         let events = sink.events();

@@ -14,7 +14,7 @@ pub enum Phase {
     /// Assembling fine-level labels from a finished hierarchy, including the
     /// bijection repair.
     Assemble,
-    /// The incidence-limited `(ΔCoco, ΔDiv)` scan pricing a candidate.
+    /// The incidence-limited `ΔCoco` scan pricing a candidate.
     DeltaScan,
     /// Committing a speculation batch against the live accept gate
     /// (including invalidation handling).

@@ -135,11 +135,9 @@ mod tests {
                 threads: 1,
                 batch: 1,
                 initial_coco: 10,
-                initial_div: 0,
             });
             h.emit(TraceEvent::RunEnd {
                 final_coco: 10,
-                final_div: 0,
                 accepted: 0,
                 rejected: 2,
                 ties: 0,
@@ -169,11 +167,9 @@ mod tests {
             h.emit(TraceEvent::Gate {
                 round,
                 coco_delta: -(round as i64),
-                div_delta: 0,
                 accepted: true,
                 tie: round == 0,
                 coco: 0,
-                div: 0,
             });
         }
         let events = sink.events();

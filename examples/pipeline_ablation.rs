@@ -1,7 +1,6 @@
 //! Ablation of TIMER's design choices on one instance:
 //!
 //! * number of hierarchies NH (10 vs 50),
-//! * the diversity term of Coco⁺ (Section 5) on vs off,
 //! * sequential vs speculative batched hierarchy rounds (Section 6.3
 //!   outlook; identical result, different wall-clock),
 //! * TIMER vs a plain pairwise-swap refinement on the communication graph
@@ -56,10 +55,6 @@ fn main() {
     run("TIMER, NH=10", TimerConfig::new(10, 1));
     run("TIMER, NH=50 (paper setting)", TimerConfig::new(50, 1));
     run(
-        "TIMER, NH=10, no diversity term",
-        TimerConfig::new(10, 1).without_diversity(),
-    );
-    run(
         "TIMER, NH=10, 4-way speculative batches",
         TimerConfig::new(10, 1).with_threads(4),
     );
@@ -70,7 +65,7 @@ fn main() {
         let t = Instant::now();
         let r = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(10, 1)).unwrap();
         let mut labeling = r.labeling.clone();
-        let stats = tie_timer::polish(&ga, &mut labeling, true, 3);
+        let stats = tie_timer::polish(&ga, &mut labeling, 3);
         let polished_coco = coco(&ga, &topo.graph, &labeling.to_mapping());
         println!(
             "{:<44} {:>12} {:>8.1}% {:>9.2}",

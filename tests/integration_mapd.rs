@@ -5,7 +5,7 @@
 
 use tie_graph::generators;
 use tie_mapd::protocol::{GraphSource, MapRequest};
-use tie_mapd::{Service, ServiceOptions};
+use tie_mapd::{ServeError, Service, ServiceOptions};
 
 fn request(case: &str, seed: u64, threads: usize) -> MapRequest {
     let g = generators::barabasi_albert(500, 4, seed);
@@ -65,6 +65,28 @@ fn admission_counters_return_to_zero() {
         ..ServiceOptions::default()
     });
     assert_eq!(service.admission_capacity(), 1);
+    // `nh`, `threads` and `batch` size TIMER's allocations. A request above
+    // the caps fails as invalid before it takes a permit or builds a
+    // topology context, so the cache records no lookup at all.
+    let oversized = [
+        MapRequest {
+            nh: 1_000_000_000,
+            ..request("c2", 5, 1)
+        },
+        request("c2", 5, 1_000_000),
+        MapRequest {
+            batch: tie_timer::MAX_BATCH + 1,
+            ..request("c2", 5, 1)
+        },
+    ];
+    for req in &oversized {
+        match service.execute(req) {
+            Err(ServeError::Invalid(msg)) => assert!(msg.contains("must be <="), "{msg}"),
+            other => panic!("expected an invalid-request error, got {other:?}"),
+        }
+    }
+    let stats = service.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 0), "no work may start");
     service.execute(&request("c2", 5, 1)).expect("execution");
     assert_eq!(service.in_flight(), 0, "permit must be released");
 }

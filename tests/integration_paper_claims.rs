@@ -179,7 +179,6 @@ fn batched_enhance_is_byte_identical_across_thread_counts() {
                 );
                 assert_eq!(batched.mapping, sequential.mapping);
                 assert_eq!(batched.final_coco, sequential.final_coco);
-                assert_eq!(batched.final_coco_plus, sequential.final_coco_plus);
                 assert_eq!(
                     batched.hierarchies_accepted,
                     sequential.hierarchies_accepted
@@ -191,11 +190,12 @@ fn batched_enhance_is_byte_identical_across_thread_counts() {
     }
 }
 
+// The name predates the removal of the Div term; the test checks Coco.
 #[test]
 fn enhance_never_worsens_coco_plus_on_4x4_torus() {
     // Smoke test for the core invariant: on a 4x4 torus, Timer::enhance
-    // accepts a hierarchy round only if it improves Coco+ without worsening
-    // Coco, so neither objective may end up worse than it started.
+    // accepts a hierarchy round only if it does not worsen Coco, so Coco
+    // may not end up worse than it started.
     use tie_mapping::Mapping;
     use tie_partition::{partition, PartitionConfig};
     use tie_timer::{enhance_mapping, TimerConfig};
@@ -210,13 +210,6 @@ fn enhance_never_worsens_coco_plus_on_4x4_torus() {
         let scramble = tie_graph::generators::random_permutation(topo.num_pes(), seed);
         let mapping = Mapping::from_partition(&part, &scramble, topo.num_pes());
         let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(8, seed)).unwrap();
-        assert!(
-            result.final_coco_plus <= result.initial_coco_plus,
-            "{}: Coco+ worsened {} -> {}",
-            spec.name,
-            result.initial_coco_plus,
-            result.final_coco_plus
-        );
         assert!(
             result.final_coco <= result.initial_coco,
             "{}: Coco worsened {} -> {}",

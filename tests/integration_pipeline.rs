@@ -67,10 +67,9 @@ fn every_initial_mapping_strategy_composes_with_timer() {
         let before = evaluate(&ga, &topo.graph, &initial);
         let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(8, 3)).unwrap();
         let after = evaluate(&ga, &topo.graph, &result.mapping);
-        // Coco+ never worsens; Coco itself stays within a few percent and
-        // typically improves.
-        assert!(result.final_coco_plus <= result.initial_coco_plus, "{name}");
-        assert!(after.coco as f64 <= before.coco as f64 * 1.05, "{name}");
+        // Coco never worsens, by TIMER's own count and by `evaluate`.
+        assert!(result.final_coco <= result.initial_coco, "{name}");
+        assert!(after.coco <= before.coco, "{name}");
         // The mapping stays a function onto the same PE set.
         assert_eq!(
             after.imbalance, before.imbalance,
@@ -92,11 +91,7 @@ fn timer_on_all_small_topologies() {
         let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 7));
         let initial = identity_mapping(&part, topo.num_pes());
         let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(5, 7)).unwrap();
-        assert!(
-            result.final_coco_plus <= result.initial_coco_plus,
-            "{}",
-            topo.name
-        );
+        assert!(result.final_coco <= result.initial_coco, "{}", topo.name);
         assert_eq!(
             result.final_coco,
             coco(&ga, &topo.graph, &result.mapping),

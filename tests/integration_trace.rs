@@ -76,14 +76,9 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
     // Telemetry agrees with the event stream.
     assert_eq!(result.telemetry.rounds(), NH);
 
-    // Every gate line carries the accept verdict and both deltas.
+    // Every gate line carries the accept verdict and the delta.
     for line in lines.iter().filter(|l| l.contains("\"event\": \"gate\"")) {
-        for key in [
-            "\"round\": ",
-            "\"coco_delta\": ",
-            "\"div_delta\": ",
-            "\"accepted\": ",
-        ] {
+        for key in ["\"round\": ", "\"coco_delta\": ", "\"accepted\": "] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
     }

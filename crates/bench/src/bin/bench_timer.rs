@@ -1,9 +1,6 @@
 //! TIMER perf-trajectory harness: times `Timer::enhance` per workload scale
-//! × thread count and writes the machine-readable `BENCH_timer.json`
-//! artifact, so the wall-clock/quality trajectory of the batched driver is
-//! tracked across PRs. The batched driver is byte-identical to the
-//! sequential one, so `final_coco` must agree across thread counts within a
-//! scale — the harness asserts it.
+//! and writes the machine-readable `BENCH_timer.json` artifact, so the
+//! wall-clock/quality trajectory of the driver is tracked across PRs.
 //!
 //! Usage:
 //!   cargo run -p tie-bench --bin bench_timer --release -- \
@@ -25,7 +22,7 @@ use tie_bench::report::{format_bench_json, TimerBenchEntry};
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_fault::FaultHandle;
 use tie_graph::generators::random_permutation;
-use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
+use tie_mapd::cli::{has_flag, help_requested, parsed_flag, trace_from_flags, try_flag_value};
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
 use tie_timer::{enhance_mapping, RoundTelemetry, TimerConfig};
@@ -47,7 +44,11 @@ fn scale_name(scale: Scale) -> &'static str {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if help_requested(&args, USAGE) {
+        return ExitCode::SUCCESS;
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("bench_timer: {e}");
@@ -57,12 +58,11 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = has_flag(&args, "--quick");
-    let out_path = try_flag_value(&args, "--out")?.unwrap_or("BENCH_timer.json");
-    let nh: usize = parsed_flag(&args, "--nh", if quick { 6 } else { 40 })?;
-    let reps: usize = parsed_flag(&args, "--reps", 1)?;
+fn run(args: &[String]) -> Result<(), String> {
+    let quick = has_flag(args, "--quick");
+    let out_path = try_flag_value(args, "--out")?.unwrap_or("BENCH_timer.json");
+    let nh: usize = parsed_flag(args, "--nh", if quick { 6 } else { 40 })?;
+    let reps: usize = parsed_flag(args, "--reps", 1)?;
     if reps == 0 {
         return Err("--reps needs a positive number, got 0".to_string());
     }
@@ -71,8 +71,7 @@ fn run() -> Result<(), String> {
     } else {
         &[Scale::Tiny, Scale::Small, Scale::Medium]
     };
-    let thread_counts = [1usize, 2, 4];
-    let trace = trace_from_flags(&args)?;
+    let trace = trace_from_flags(args)?;
     let faults = FaultHandle::from_env().map_err(|e| format!("invalid TIE_FAULTS: {e}"))?;
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -102,99 +101,68 @@ fn run() -> Result<(), String> {
             ga.num_vertices(),
             ga.num_edges()
         );
-        let mut reference_coco: Option<u64> = None;
-        let mut reference_telemetry: Option<RoundTelemetry> = None;
-        for &threads in &thread_counts {
-            let oversubscribed = threads > hardware_threads;
-            if oversubscribed {
-                eprintln!(
-                    "  warning: {threads} threads on {hardware_threads} hardware \
-                     thread(s) — wall-clock for this row measures contention"
-                );
-            }
-            // Repeat the cell: the trajectory is deterministic, so every
-            // repetition must reproduce the first one exactly — only the
-            // wall-clock varies, and min/median tame its noise.
-            let mut walls_ms: Vec<f64> = Vec::with_capacity(reps);
-            let mut result = None;
-            let mut effective_batch = 0;
-            for rep in 0..reps {
-                let cfg = TimerConfig::new(nh, SEED)
-                    .with_threads(threads)
-                    .with_trace(trace.clone())
-                    .with_faults(faults.clone());
-                effective_batch = cfg.effective_batch();
-                let start = Instant::now();
-                let rep_result = enhance_mapping(&ga, &pcube, &mapping, cfg)
-                    .map_err(|e| format!("enhance failed at scale {}: {e}", scale_name(scale)))?;
-                walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                match &result {
-                    None => result = Some(rep_result),
-                    Some(first) => assert_eq!(
+        // Repeat the run: the trajectory is deterministic, so every
+        // repetition must reproduce the first one exactly — only the
+        // wall-clock varies, and min/median tame its noise.
+        let mut walls_ms: Vec<f64> = Vec::with_capacity(reps);
+        let mut result = None;
+        for rep in 0..reps {
+            let cfg = TimerConfig::new(nh, SEED)
+                .with_trace(trace.clone())
+                .with_faults(faults.clone());
+            let start = Instant::now();
+            let rep_result = enhance_mapping(&ga, &pcube, &mapping, cfg)
+                .map_err(|e| format!("enhance failed at scale {}: {e}", scale_name(scale)))?;
+            walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            match &result {
+                None => result = Some(rep_result),
+                Some(first) => {
+                    assert_eq!(
                         rep_result.final_coco, first.final_coco,
-                        "rep {rep} diverged from rep 0 at the same cell"
-                    ),
+                        "rep {rep} diverged from rep 0 at the same scale"
+                    );
+                    assert!(
+                        first.telemetry.same_gate_trajectory(&rep_result.telemetry),
+                        "rep {rep}: gate telemetry diverged from rep 0"
+                    );
                 }
             }
-            let result = result.expect("reps >= 1 is enforced at parse time");
-            walls_ms.sort_by(|a, b| a.total_cmp(b));
-            let wall_ms_min = walls_ms[0];
-            let wall_ms = if walls_ms.len() % 2 == 1 {
-                walls_ms[walls_ms.len() / 2]
+        }
+        let result = result.expect("reps >= 1 is enforced at parse time");
+        walls_ms.sort_by(|a, b| a.total_cmp(b));
+        let wall_ms_min = walls_ms[0];
+        let wall_ms = if walls_ms.len() % 2 == 1 {
+            walls_ms[walls_ms.len() / 2]
+        } else {
+            let hi = walls_ms.len() / 2;
+            (walls_ms[hi - 1] + walls_ms[hi]) / 2.0
+        };
+        eprintln!(
+            "  median {wall_ms:.1} ms, min {wall_ms_min:.1} ms over {reps} rep(s), \
+             Coco {} -> {} ({} kept rounds{})",
+            result.initial_coco,
+            result.final_coco,
+            result.hierarchies_accepted,
+            if result.telemetry.worker_panics > 0 {
+                format!(
+                    ", {} worker panic(s) absorbed",
+                    result.telemetry.worker_panics
+                )
             } else {
-                let hi = walls_ms.len() / 2;
-                (walls_ms[hi - 1] + walls_ms[hi]) / 2.0
-            };
-            eprintln!(
-                "  threads {threads}: median {wall_ms:.1} ms, min {wall_ms_min:.1} ms \
-                 over {reps} rep(s), Coco {} -> {} ({} kept rounds{})",
-                result.initial_coco,
-                result.final_coco,
-                result.hierarchies_accepted,
-                if result.telemetry.worker_panics > 0 {
-                    format!(
-                        ", {} worker panic(s) absorbed",
-                        result.telemetry.worker_panics
-                    )
-                } else {
-                    String::new()
-                }
-            );
-            match reference_coco {
-                None => reference_coco = Some(result.final_coco),
-                Some(reference) => assert_eq!(
-                    result.final_coco, reference,
-                    "batched driver diverged from the sequential trajectory"
-                ),
+                String::new()
             }
-            // Gate outcomes (accept/reject/tie counts and the delta histogram)
-            // must be byte-identical across thread counts; only the phase
-            // wall-clock may differ. The embedded record is the threads = 1
-            // run's, so the phase breakdown reads as sequential time.
-            match &reference_telemetry {
-                None => reference_telemetry = Some(result.telemetry.clone()),
-                Some(reference) => assert!(
-                    reference.same_gate_trajectory(&result.telemetry),
-                    "gate telemetry diverged across thread counts"
-                ),
-            }
-            entries.push(TimerBenchEntry {
-                scale: scale_name(scale).to_string(),
-                threads,
-                batch: effective_batch,
-                wall_ms,
-                wall_ms_min,
-                initial_coco: result.initial_coco,
-                final_coco: result.final_coco,
-                accepted: result.hierarchies_accepted,
-                total_swaps: result.total_swaps,
-                repaired: result.total_repaired,
-                threads_oversubscribed: oversubscribed,
-            });
-        }
-        if let Some(t) = reference_telemetry {
-            telemetry.push((scale_name(scale).to_string(), t));
-        }
+        );
+        entries.push(TimerBenchEntry {
+            scale: scale_name(scale).to_string(),
+            wall_ms,
+            wall_ms_min,
+            initial_coco: result.initial_coco,
+            final_coco: result.final_coco,
+            accepted: result.hierarchies_accepted,
+            total_swaps: result.total_swaps,
+            repaired: result.total_repaired,
+        });
+        telemetry.push((scale_name(scale).to_string(), result.telemetry));
     }
 
     let json = format_bench_json(

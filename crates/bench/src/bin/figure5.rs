@@ -2,11 +2,7 @@
 //! per processor topology, for the experimental cases c1–c4.
 //!
 //! Usage:
-//! `cargo run -p tie-bench --bin figure5 --release -- [--case c1|c2|c3|c4] [--full] [--scale ...] [--reps N] [--nh N] [--threads N] [--batch B]`
-//!
-//! `--threads`/`--batch` drive TIMER's speculative hierarchy batches; the
-//! reported quality numbers are byte-identical for every setting — the flags
-//! only change the wall-clock.
+//! `cargo run -p tie-bench --bin figure5 --release -- [--case c1|c2|c3|c4] [--full] [--scale ...] [--reps N] [--nh N]`
 //!
 //! Without `--case`, all four cases are run (Figures 5a, 5b, 5c and 5d).
 
@@ -15,12 +11,15 @@ use std::process::ExitCode;
 use tie_bench::harness::{quality_rows, run_sweep, USAGE};
 use tie_bench::report::format_quality_table;
 use tie_bench::{paper_networks, parse_options, quick_networks};
-use tie_mapd::cli::{has_flag, try_flag_value};
+use tie_mapd::cli::{has_flag, help_requested, try_flag_value};
 use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if help_requested(&args, &format!("{USAGE} [--case c1|c2|c3|c4]")) {
+        return ExitCode::SUCCESS;
+    }
     let parsed = parse_options(&args).and_then(|o| {
         let case = try_flag_value(&args, "--case")?
             .map(|c| {

@@ -2,7 +2,7 @@
 //! Figures 5a–5d and Table 2. This is the binary EXPERIMENTS.md is generated
 //! from.
 //!
-//! Usage: `cargo run -p tie-bench --bin run_all --release -- [--scale tiny|small|medium] [--reps N] [--nh N] [--threads N] [--batch B] [--deadline-ms N] [--out PATH]`
+//! Usage: `cargo run -p tie-bench --bin run_all --release -- [--scale tiny|small|medium] [--reps N] [--nh N] [--deadline-ms N] [--out PATH]`
 //!
 //! A repetition that fails (fault injection, malformed input, worker panic)
 //! does not abort the run: the sweep keeps going, the failure is reported on
@@ -17,13 +17,16 @@ use tie_bench::report::{
     format_timing_table,
 };
 use tie_bench::{parse_options, quick_networks};
-use tie_mapd::cli::try_flag_value;
+use tie_mapd::cli::{help_requested, try_flag_value};
 use tie_mapd::MapCase;
 use tie_partition::{partition, PartitionConfig};
 use tie_topology::Topology;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if help_requested(&args, &format!("{USAGE} [--out PATH]")) {
+        return ExitCode::SUCCESS;
+    }
     let parsed = parse_options(&args).and_then(|o| {
         let out = try_flag_value(&args, "--out")?;
         Ok((o, out.map(str::to_string)))
@@ -41,18 +44,13 @@ fn main() -> ExitCode {
 
     println!("== TIMER reproduction: reduced-scale evaluation ==");
     println!(
-        "scale {:?}, {} networks, {} topologies, reps {}, NH {}, eps {}, threads {} (batch {})\n",
+        "scale {:?}, {} networks, {} topologies, reps {}, NH {}, eps {}\n",
         options.scale,
         networks.len(),
         topologies.len(),
         options.repetitions,
         options.num_hierarchies,
-        options.epsilon,
-        options.threads,
-        tie_timer::TimerConfig::default()
-            .with_threads(options.threads)
-            .with_batch(options.batch)
-            .effective_batch()
+        options.epsilon
     );
 
     // Table 1 (reduced).

@@ -12,12 +12,15 @@ use std::process::ExitCode;
 use tie_bench::harness::{run_sweep, timing_rows, USAGE};
 use tie_bench::report::format_timing_table;
 use tie_bench::{paper_networks, parse_options, quick_networks};
-use tie_mapd::cli::has_flag;
+use tie_mapd::cli::{has_flag, help_requested};
 use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if help_requested(&args, USAGE) {
+        return ExitCode::SUCCESS;
+    }
     let options = match parse_options(&args) {
         Ok(o) => o,
         Err(e) => {

@@ -9,10 +9,14 @@ use std::time::Instant;
 use tie_bench::harness::USAGE;
 use tie_bench::report::format_partition_times;
 use tie_bench::{paper_networks, parse_options};
+use tie_mapd::cli::help_requested;
 use tie_partition::{partition, PartitionConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if help_requested(&args, USAGE) {
+        return ExitCode::SUCCESS;
+    }
     let options = match parse_options(&args) {
         Ok(o) => o,
         Err(e) => {

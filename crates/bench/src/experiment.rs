@@ -32,11 +32,6 @@ pub struct ExperimentConfig {
     pub epsilon: f64,
     /// Base seed; repetition `r` uses `seed + r`.
     pub seed: u64,
-    /// Worker threads for TIMER's speculative hierarchy batches
-    /// (1 = paper setting; results are byte-identical for any value).
-    pub threads: usize,
-    /// Hierarchy rounds speculated per batch (0 = match `threads`).
-    pub batch: usize,
     /// Flight-recorder handle passed through to TIMER (disabled by
     /// default; recording never changes results).
     pub trace: TraceHandle,
@@ -54,8 +49,6 @@ impl Default for ExperimentConfig {
             num_hierarchies: 50,
             epsilon: 0.03,
             seed: 1,
-            threads: 1,
-            batch: 0,
             trace: TraceHandle::off(),
             deadline: None,
             faults: FaultHandle::off(),
@@ -83,7 +76,7 @@ pub struct CaseResult {
     /// Why the TIMER run stopped (`Completed` unless a deadline or the
     /// adaptive stopping rule cut it short).
     pub stop_reason: StopReason,
-    /// Speculative worker panics TIMER absorbed (0 on healthy runs).
+    /// Round panics TIMER absorbed (0 on healthy runs).
     pub worker_panics: usize,
 }
 
@@ -136,8 +129,6 @@ pub fn run_case(
     let ctx = TopologyContext::recognize(&topology.graph)?;
     let initial = map_initial(ga, topology, case, config.epsilon, config.seed);
     let timer_cfg = TimerConfig {
-        threads: config.threads,
-        batch: config.batch,
         trace: config.trace.clone(),
         deadline: config.deadline,
         faults: config.faults.clone(),

@@ -208,15 +208,11 @@ pub fn format_sweep_json(per_case: &[(MapCase, Vec<CellObservations>)]) -> Strin
 }
 
 /// One measurement of the TIMER perf-trajectory harness (`bench_timer`):
-/// a full `Timer::enhance` run at one scale × thread-count cell.
+/// a full `Timer::enhance` run at one scale.
 #[derive(Clone, Debug)]
 pub struct TimerBenchEntry {
     /// Workload scale name (`tiny`, `small`, `medium`).
     pub scale: String,
-    /// Worker threads for the speculative batches.
-    pub threads: usize,
-    /// Effective batch depth (the resolved value, not the 0 sentinel).
-    pub batch: usize,
     /// Median wall-clock of the `enhance` call across repetitions, in
     /// milliseconds (with `--reps 1` this is the single measurement).
     pub wall_ms: f64,
@@ -224,7 +220,7 @@ pub struct TimerBenchEntry {
     pub wall_ms_min: f64,
     /// Coco of the initial mapping.
     pub initial_coco: u64,
-    /// Coco of the enhanced mapping (byte-identical across thread counts).
+    /// Coco of the enhanced mapping.
     pub final_coco: u64,
     /// Hierarchy rounds whose result was kept.
     pub accepted: usize,
@@ -233,9 +229,6 @@ pub struct TimerBenchEntry {
     /// Vertices whose assembled label needed the bijection repair
     /// (`TimerResult::total_repaired`).
     pub repaired: usize,
-    /// True when this row asked for more worker threads than the machine
-    /// has — its `wall_ms` measures contention, not speedup.
-    pub threads_oversubscribed: bool,
 }
 
 /// Formats a [`LogHistogram`] as a JSON array of its non-empty buckets,
@@ -257,14 +250,12 @@ fn format_histogram_json(hist: &LogHistogram) -> String {
 }
 
 /// Serializes the perf-trajectory measurements as the `BENCH_timer.json`
-/// artifact: machine-readable, diffable, one object per cell. No external
+/// artifact: machine-readable, diffable, one object per scale. No external
 /// JSON crate is available offline, so the (flat, numeric) structure is
 /// emitted by hand.
 ///
-/// `telemetry` carries one accept-gate record per scale (gate outcomes are
-/// byte-identical across thread counts, so one record covers all rows of a
-/// scale; the phase breakdown comes from that scale's threads = 1 run, and
-/// with `reps > 1` from that run's first repetition).
+/// `telemetry` carries one accept-gate record per scale (with `reps > 1`
+/// the phase breakdown is that of the first repetition).
 #[allow(clippy::too_many_arguments)] // flat artifact header, one field each
 pub fn format_bench_json(
     nh: usize,
@@ -282,21 +273,17 @@ pub fn format_bench_json(
     let _ = writeln!(out, "  \"reps\": {reps},");
     let _ = writeln!(out, "  \"network\": \"{network}\",");
     let _ = writeln!(out, "  \"topology\": \"{topology}\",");
-    // Wall-clock context: with hardware_threads = 1 the batched rows can at
-    // best tie the sequential row; real speedups need real cores.
+    // Wall-clock context for the timing columns.
     let _ = writeln!(out, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(out, "  \"results\": [");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"scale\": \"{}\", \"threads\": {}, \"batch\": {}, \"wall_ms\": {:.3}, \
-             \"wall_ms_min\": {:.3}, \"initial_coco\": {}, \"final_coco\": {}, \
-             \"accepted\": {}, \"total_swaps\": {}, \"repaired\": {}, \
-             \"threads_oversubscribed\": {}}}{}",
+            "    {{\"scale\": \"{}\", \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
+             \"initial_coco\": {}, \"final_coco\": {}, \"accepted\": {}, \
+             \"total_swaps\": {}, \"repaired\": {}}}{}",
             e.scale,
-            e.threads,
-            e.batch,
             e.wall_ms,
             e.wall_ms_min,
             e.initial_coco,
@@ -304,7 +291,6 @@ pub fn format_bench_json(
             e.accepted,
             e.total_swaps,
             e.repaired,
-            e.threads_oversubscribed,
             comma
         );
     }
@@ -413,8 +399,6 @@ mod tests {
         let entries = vec![
             TimerBenchEntry {
                 scale: "tiny".into(),
-                threads: 1,
-                batch: 1,
                 wall_ms: 12.3456,
                 wall_ms_min: 11.9,
                 initial_coco: 100,
@@ -422,20 +406,16 @@ mod tests {
                 accepted: 3,
                 total_swaps: 42,
                 repaired: 7,
-                threads_oversubscribed: false,
             },
             TimerBenchEntry {
-                scale: "tiny".into(),
-                threads: 4,
-                batch: 4,
+                scale: "small".into(),
                 wall_ms: 4.0,
                 wall_ms_min: 3.5,
-                initial_coco: 100,
-                final_coco: 80,
-                accepted: 3,
-                total_swaps: 42,
-                repaired: 7,
-                threads_oversubscribed: true,
+                initial_coco: 200,
+                final_coco: 150,
+                accepted: 5,
+                total_swaps: 9,
+                repaired: 0,
             },
         ];
         let mut tel = RoundTelemetry::default();
@@ -458,11 +438,11 @@ mod tests {
         assert!(s.contains("\"hardware_threads\": 4"));
         assert!(s.contains("\"wall_ms\": 12.346"));
         assert!(s.contains("\"wall_ms_min\": 11.900"));
-        assert!(s.contains("\"threads\": 4"));
         assert!(s.contains("\"final_coco\": 80"));
+        assert!(s.contains("\"final_coco\": 150"));
         assert!(s.contains("\"repaired\": 7"));
-        assert!(s.contains("\"threads_oversubscribed\": false"));
-        assert!(s.contains("\"threads_oversubscribed\": true"));
+        assert!(!s.contains("\"threads\""));
+        assert!(!s.contains("\"batch\""));
         // Telemetry block: gate counts, the histogram with inclusive bounds,
         // and the full fixed phase vocabulary.
         assert!(s.contains("\"accepted\": 2,"));

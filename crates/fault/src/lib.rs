@@ -5,9 +5,9 @@
 //! (`tie-trace`-style plumbing: a disabled handle is one branch per probe
 //! site), and a [`FaultPlan`] arms specific faults at specific places:
 //!
-//! * **worker panics** at chosen hierarchy rounds (`panic@R`, or seeded via
+//! * **round panics** at chosen hierarchy rounds (`panic@R`, or seeded via
 //!   [`FaultPlan::with_seeded_panics`]) — exercising the driver's
-//!   panic-isolated speculation,
+//!   panic guard and quarantine re-run,
 //! * **IO errors** on the n-th counted IO operation (`io@N`) — exercising
 //!   the typed-error paths of `tie-graph::io` and the `mapd` socket framing
 //!   layer (readers and socket frames share one operation counter),

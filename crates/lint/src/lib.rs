@@ -6,7 +6,8 @@
 //! the fact.
 //!
 //! The load-bearing invariant is that `Timer::enhance` is byte-identical
-//! across every `(threads, batch)` setting (docs/DETERMINISM.md). The rules:
+//! from run to run, across cache state and concurrent serving
+//! (docs/DETERMINISM.md). The rules:
 //!
 //! * **no-unordered-iteration** — no `HashMap`/`HashSet` iteration on
 //!   non-test paths of result-affecting crates (lookups stay legal);

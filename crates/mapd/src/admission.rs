@@ -1,8 +1,7 @@
 //! Request admission: bound the number of in-flight enhancements.
 //!
-//! An enhancement saturates its configured thread count, so running more of
-//! them than the machine has cores only adds cache pressure and latency for
-//! everyone. The [`Admission`] gate hands out permits up to a cap (hardware
+//! An enhancement saturates one core, so running more of them than the
+//! machine has cores only adds cache pressure and latency for everyone. The [`Admission`] gate hands out permits up to a cap (hardware
 //! parallelism by default); requests beyond the cap queue on a condvar, and
 //! a queued request whose deadline expires before a permit frees up is
 //! rejected *without* having burned any compute — the deadline-aware half of

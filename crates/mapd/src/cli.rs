@@ -3,7 +3,8 @@
 //!
 //! Nothing here panics: malformed flags surface as `Err(String)` so binaries
 //! can print the message plus their usage line and exit with code 2. When a
-//! flag is given more than once, the first occurrence wins.
+//! flag is given more than once, the first occurrence wins. `--help`/`-h`
+//! is handled by [`help_requested`] before anything else is parsed.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -34,6 +35,17 @@ pub fn try_flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a s
 /// Whether `flag` appears at all (valueless switches like `--json`).
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// Handles `--help`/`-h`: when either is among `args`, prints `usage` to
+/// stdout and returns true. Binaries call this first and then exit 0
+/// without doing any work.
+pub fn help_requested(args: &[String], usage: &str) -> bool {
+    let wanted = has_flag(args, "--help") || has_flag(args, "-h");
+    if wanted {
+        println!("{usage}");
+    }
+    wanted
 }
 
 /// Parses the value of `flag`, falling back to `default` when absent.
@@ -115,6 +127,17 @@ mod tests {
         assert!(parsed_flag(&dangling, "--nh", 50usize)
             .unwrap_err()
             .contains("--nh"));
+        // `--help` and `-h` are recognised anywhere, and nothing else is.
+        for help in [
+            &["--help"][..],
+            &["-h"],
+            &["--nh", "3", "--help"],
+            &["-h", "--nh"],
+        ] {
+            assert!(help_requested(&args(help), "usage: test"), "{help:?}");
+        }
+        assert!(!help_requested(&a, "usage: test"));
+        assert!(!help_requested(&args(&["--helpful", "-hh"]), "usage: test"));
     }
 
     #[test]

@@ -113,9 +113,10 @@ pub struct MapRequest {
     pub eps: f64,
     /// Seed for partitioning, initial mapping and TIMER.
     pub seed: u64,
-    /// TIMER worker threads (results are thread-count-invariant).
+    /// Ignored: TIMER runs its rounds one at a time. Still parsed, so
+    /// clients that send it keep working.
     pub threads: usize,
-    /// TIMER speculation-depth cap (0 = match threads).
+    /// Ignored, like `threads`.
     pub batch: usize,
     /// Whole-request deadline in milliseconds (0 = unbounded). Covers
     /// admission queueing *and* enhancement.

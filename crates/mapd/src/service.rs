@@ -247,20 +247,13 @@ impl Service {
     pub fn execute(&self, req: &MapRequest) -> Result<MapResponse, ServeError> {
         let case = MapCase::parse(&req.case)
             .ok_or_else(|| ServeError::Invalid(format!("unknown case {:?}", req.case)))?;
-        if req.threads == 0 {
-            return Err(ServeError::Invalid(
-                "threads must be at least 1".to_string(),
-            ));
-        }
         let topo = parse_topology(&req.topology).map_err(ServeError::Invalid)?;
         let mut cfg = TimerConfig::new(req.nh, req.seed)
-            .with_threads(req.threads)
-            .with_batch(req.batch)
             .with_trace(self.trace.clone())
             .with_cancel_token(self.cancel.clone())
             .with_faults(self.faults.clone());
-        // `nh`, `threads` and `batch` size the driver's allocations: an
-        // oversized request is refused here, before it holds a permit.
+        // `nh` sizes the driver's allocations: an oversized request is
+        // refused here, before it holds a permit.
         cfg.validate()
             .map_err(|e| ServeError::Invalid(e.to_string()))?;
         let deadline =
@@ -451,31 +444,32 @@ mod tests {
             service.execute(&bad_edge),
             Err(ServeError::Invalid(_))
         ));
-        let mut bad_threads = demo_request(3);
-        bad_threads.threads = 0;
+        let oversize = MapRequest {
+            nh: tie_timer::MAX_HIERARCHIES + 1,
+            ..demo_request(3)
+        };
         assert!(matches!(
-            service.execute(&bad_threads),
+            service.execute(&oversize),
             Err(ServeError::Invalid(_))
         ));
-        for oversize in [
-            MapRequest {
-                nh: tie_timer::MAX_HIERARCHIES + 1,
-                ..demo_request(3)
-            },
-            MapRequest {
-                threads: tie_timer::MAX_THREADS + 1,
-                ..demo_request(3)
-            },
-            MapRequest {
-                batch: tie_timer::MAX_BATCH + 1,
-                ..demo_request(3)
-            },
-        ] {
-            assert!(matches!(
-                service.execute(&oversize),
-                Err(ServeError::Invalid(_))
-            ));
-        }
+    }
+
+    #[test]
+    fn execute_ignores_threads_and_batch() {
+        // Both fields stay on the wire for old clients; TIMER runs its
+        // rounds one at a time whatever they say.
+        let service = Service::new(ServiceOptions::default());
+        let plain = service.execute(&demo_request(4)).unwrap();
+        let odd = service
+            .execute(&MapRequest {
+                threads: 0,
+                batch: 1_000_000,
+                ..demo_request(4)
+            })
+            .unwrap();
+        assert_eq!(odd.mapping, plain.mapping);
+        assert_eq!(odd.enhanced, plain.enhanced);
+        assert_eq!(odd.total_swaps, plain.total_swaps);
     }
 
     #[test]

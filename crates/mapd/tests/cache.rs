@@ -166,7 +166,7 @@ fn hit_and_miss_enhancements_are_byte_identical() {
     let cache = TopologyCache::new(2, TraceHandle::off(), FaultHandle::off());
 
     let run = |ctx: &TopologyContext| {
-        Timer::new(TimerConfig::new(8, 11).with_threads(2))
+        Timer::new(TimerConfig::new(8, 11))
             .enhance_with_context(&ga, ctx, &initial)
             .unwrap()
     };

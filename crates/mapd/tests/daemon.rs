@@ -29,7 +29,7 @@ fn demo_request(seed: u64) -> MapRequest {
         nh: 8,
         eps: 0.03,
         seed,
-        threads: 2,
+        threads: 1,
         batch: 0,
         deadline_ms: 0,
     }

@@ -138,8 +138,7 @@ impl TopologyContext {
 ///
 /// This is the byte-identity anchor of the context split — the exact code
 /// (seed derivation constant included) the driver has always run inline, so
-/// every `(threads, batch)` setting and every cache disposition sees the
-/// identical hierarchies.
+/// every cache disposition sees the identical hierarchies.
 pub fn generate_permutations(seed: u64, dim: usize, num_hierarchies: usize) -> Vec<Vec<usize>> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x51ed_270b));
     (0..num_hierarchies)

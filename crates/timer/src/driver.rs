@@ -1,35 +1,17 @@
 //! The TIMER driver (Algorithm 1): multi-hierarchical label swapping over
 //! `NH` random digit permutations.
 //!
-//! # Speculative hierarchy batches
-//!
-//! The `NH` rounds form a sequential chain only through the accept gate:
-//! round `k` starts from whatever labeling rounds `0..k` left behind. A
-//! rejected round (or a kept one that leaves the labels unchanged) does not
-//! advance the chain, which makes runs of such rounds ideal targets for
-//! speculation. With `threads > 1` the driver
-//! runs a batch of `B` rounds (distinct digit permutations) concurrently
-//! from the same accepted base labeling, then commits the results in
-//! permutation order against the live gate. A kept round that actually
-//! changes the labels invalidates the not-yet-committed speculations (they
-//! were built from a stale base); those rounds are discarded — without
-//! touching any counter — and re-executed from the new base in the next
-//! batch. The committed trajectory is therefore **byte-identical to the
-//! sequential driver** for every `(threads, batch)` combination: same
-//! labels, same counters, same result, never worse than the sequential
-//! trajectory — batching and threading are pure scheduling knobs.
-//!
-//! The speculation depth adapts like a branch predictor: it doubles after
-//! every batch whose speculations all survived and resets to 1 whenever an
-//! acceptance invalidated the batch, so the accept-heavy early rounds run
-//! (nearly) waste-free while the reject-heavy tail gets full parallelism.
+//! The `NH` rounds run one after another, as in the paper: round `k` starts
+//! from whatever labeling rounds `0..k` left behind, and the accept gate
+//! decides after every round whether its candidate replaces the labeling.
+//! Each round runs inside a panic guard; a panicking round is re-run once
+//! in place from the same base, so a transient fault leaves the trajectory
+//! byte-identical and a persistent one fails with
+//! [`TieError::WorkerPanicked`].
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-use crossbeam::thread;
 
 use tie_fault::FaultHandle;
 use tie_graph::Graph;
@@ -73,8 +55,8 @@ pub struct TimerResult {
     /// Flight-recorder summary of the run: accept/reject/tie counts, the
     /// per-round `ΔCoco` histogram and a per-phase wall-clock
     /// breakdown. Always collected (the gate side rides the delta scan the
-    /// driver performs anyway); the gate side is byte-identical across
-    /// `(threads, batch)` settings, the phase side is wall-clock.
+    /// driver performs anyway); the gate side is deterministic, the phase
+    /// side is wall-clock.
     pub telemetry: RoundTelemetry,
     /// Why the run stopped offering rounds: [`StopReason::Completed`] on a
     /// full run, or the deadline / cancellation / adaptive-stopping cause
@@ -114,9 +96,9 @@ impl Timer {
     /// graph/mapping size mismatch, [`TieError::IncompatibleTopology`] when
     /// the labeling cannot carry the mapping (PE-count mismatch, duplicate
     /// PE labels, label overflow), and [`TieError::WorkerPanicked`] when a
-    /// hierarchy round panics *persistently* (a transient worker panic is
-    /// absorbed: the round is quarantined and re-run sequentially, counted
-    /// in `telemetry.worker_panics`). Deadline expiry and cancellation are
+    /// hierarchy round panics *persistently* (a transient panic is absorbed:
+    /// the round is re-run once in place, counted in
+    /// `telemetry.worker_panics`). Deadline expiry and cancellation are
     /// not errors — the run returns best-so-far with the matching
     /// [`StopReason`].
     pub fn enhance(
@@ -167,55 +149,34 @@ impl Timer {
         let mut telemetry = RoundTelemetry::default();
         trace.emit(TraceEvent::RunStart {
             nh: cfg.num_hierarchies,
-            threads: cfg.threads.max(1),
-            batch: cfg.effective_batch(),
             initial_coco,
         });
 
         // Line 6 for all rounds up front: the permutation stream depends only
-        // on `(seed, dim, NH)`, never on the batching schedule, so every
-        // (threads, batch) setting — and every cache disposition — sees
-        // identical hierarchies. The context memoizes the stream across runs.
+        // on `(seed, dim, NH)`, so every cache disposition sees identical
+        // hierarchies. The context memoizes the stream across runs.
         let perms = ctx.permutations(cfg.seed, dim, cfg.num_hierarchies);
 
         let mut total_swaps = 0usize;
         let mut total_repaired = 0usize;
-        let threads = cfg.threads.max(1);
-        let max_batch = cfg.effective_batch();
-
-        // Adaptive speculation depth, branch-predictor style: rounds are
-        // accept-heavy early (every acceptance throws speculated successors
-        // away) and reject-heavy late (speculation always pays off). Start
-        // cautious, double the depth after every batch whose speculations all
-        // survived, reset to 1 whenever speculated rounds had to be
-        // discarded. The depth only schedules work — the committed trajectory
-        // stays byte-identical for every (threads, batch) setting.
-        let mut depth = 1usize;
-
         let mut stop_reason = StopReason::Completed;
         let mut worker_panics = 0usize;
         let mut consecutive_rejections = 0usize;
 
-        // One hierarchy scratch per worker slot, living for the whole run:
-        // worker k of every batch reuses slot k's sweep/contraction buffers,
-        // so the allocation set of the hot path is paid once per `enhance`
-        // call instead of once per level per round. Scratch contents never
-        // influence results (pinned by the contraction-equivalence proptest),
-        // so the byte-identity guarantee is untouched. The context's sizing
-        // hint (high-water vertex count of earlier runs) pre-sizes the
-        // buffers so a warm-context run skips the growth reallocations too.
+        // One hierarchy scratch living for the whole run: every round reuses
+        // its sweep/contraction buffers, so the allocation set of the hot
+        // path is paid once per `enhance` call instead of once per level per
+        // round. Scratch contents never influence results (pinned by the
+        // contraction-equivalence proptest). The context's sizing hint
+        // (high-water vertex count of earlier runs) pre-sizes the buffers so
+        // a warm-context run skips the growth reallocations too.
         ctx.note_vertices(graph.num_vertices());
-        let scratch_hint = ctx.scratch_vertices_hint();
-        let mut scratches: Vec<HierarchyScratch> =
-            std::iter::repeat_with(|| HierarchyScratch::with_vertex_capacity(scratch_hint))
-                .take(threads)
-                .collect();
+        let mut scratch = HierarchyScratch::with_vertex_capacity(ctx.scratch_vertices_hint());
 
-        let mut next = 0usize;
-        while next < perms.len() {
-            // Graceful-degradation checks, once per batch boundary: the
-            // labeling is always a fully committed (best-so-far) state here,
-            // so stopping now loses nothing but unexplored rounds.
+        for (round, perm) in perms.iter().enumerate() {
+            // Graceful-degradation checks before each round: the labeling is
+            // always the best accepted so far here, so stopping now loses
+            // nothing but unexplored rounds.
             if cfg.cancel.is_cancelled() {
                 stop_reason = StopReason::Cancelled;
                 break;
@@ -225,175 +186,60 @@ impl Timer {
                 stop_reason = StopReason::DeadlineExceeded;
                 break;
             }
-            let b = depth.min(max_batch).min(perms.len() - next);
-            let attempts: Vec<Result<RoundOutcome, String>> = if threads == 1 || b == 1 {
-                vec![guarded_round(
+
+            // Quarantine: a panicked round is re-run once from the same base.
+            // `run_round` is a pure function of (base, perm), so for a
+            // *transient* fault the re-run reproduces exactly what a healthy
+            // round would have produced and the trajectory stays
+            // byte-identical; a second panic means the fault is persistent
+            // and the run fails with a typed error.
+            let mut attempt = || {
+                guarded_round(
                     graph,
                     &labeling.labels,
-                    &perms[next],
+                    perm,
                     dim,
                     p_mask,
-                    next,
+                    round,
                     trace,
                     faults,
-                    &mut scratches[0],
-                )]
-            } else {
-                // Speculation: rounds next..next+b all start from the current
-                // accepted base. Workers get contiguous chunks; flattening in
-                // chunk order restores permutation order independently of the
-                // worker count — which is capped at the hardware parallelism
-                // (oversubscribed workers only fight over the cache; on a
-                // single-core box the batch runs on one spawned thread).
-                let base: &[u64] = &labeling.labels;
-                let workers = threads
-                    .min(b)
-                    .min(hardware_threads().unwrap_or(threads))
-                    .max(1);
-                let chunk = b.div_ceil(workers);
-                let joined = thread::scope(|scope| {
-                    let handles: Vec<(usize, _)> = perms[next..next + b]
-                        .chunks(chunk)
-                        .zip(scratches.iter_mut())
-                        .enumerate()
-                        .map(|(chunk_idx, (chunk_perms, scratch))| {
-                            let first_round = next + chunk_idx * chunk;
-                            let handle = scope.spawn(move |_| {
-                                chunk_perms
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, perm)| {
-                                        guarded_round(
-                                            graph,
-                                            base,
-                                            perm,
-                                            dim,
-                                            p_mask,
-                                            first_round + i,
-                                            trace,
-                                            faults,
-                                            scratch,
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            });
-                            (chunk_perms.len(), handle)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|(len, h)| match h.join() {
-                            Ok(results) => results,
-                            // `guarded_round` catches panics inside the worker,
-                            // so a join error means the panic escaped the guard
-                            // (e.g. in the iterator plumbing). Degrade it to
-                            // per-round failures and let the quarantine below
-                            // retry them sequentially.
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                (0..len).map(|_| Err(msg.clone())).collect()
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                });
-                match joined {
-                    Ok(v) => v,
-                    // The vendored scope never constructs `Err` (worker panics
-                    // are surfaced via `join`, which we handled above), but if
-                    // one ever arrives, treat the whole batch as panicked and
-                    // let the quarantine retry it.
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        (0..b).map(|_| Err(msg.clone())).collect()
-                    }
+                    &mut scratch,
+                )
+            };
+            let outcome = match attempt() {
+                Ok(outcome) => outcome,
+                Err(_first_panic) => {
+                    worker_panics += 1;
+                    attempt().map_err(|message| TieError::WorkerPanicked { round, message })?
                 }
             };
+            telemetry.phases.merge(&outcome.phases);
 
-            // Quarantine: a panicked speculative round is re-run sequentially
-            // from the same base. `run_round` is a pure function of
-            // (base, perm), so for a *transient* fault the re-run reproduces
-            // exactly what the healthy worker would have produced and the
-            // trajectory stays byte-identical; a second panic means the fault
-            // is persistent and the run fails with a typed error.
-            let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(attempts.len());
-            for (i, attempt) in attempts.into_iter().enumerate() {
-                let round = next + i;
-                match attempt {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(_first_panic) => {
-                        worker_panics += 1;
-                        match guarded_round(
-                            graph,
-                            &labeling.labels,
-                            &perms[round],
-                            dim,
-                            p_mask,
-                            round,
-                            trace,
-                            faults,
-                            &mut scratches[0],
-                        ) {
-                            Ok(outcome) => outcomes.push(outcome),
-                            Err(message) => {
-                                return Err(TieError::WorkerPanicked { round, message });
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Every executed round burned real wall-clock, including the
-            // speculations an acceptance is about to discard — the phase
-            // breakdown reports all of it. (Counters like `total_swaps` stay
-            // commit-only below: they are part of the deterministic
-            // trajectory, the phase times are honest work accounting.)
-            for outcome in &outcomes {
-                telemetry.phases.merge(&outcome.phases);
-            }
-
-            // Commit survivors in permutation order against the live gate. A
-            // kept round that changes the labels invalidates the remaining
-            // speculations: they are dropped without touching any counter and
-            // re-run from the new base, which keeps the whole trajectory
-            // byte-identical to the sequential driver.
+            // Offer the candidate to the live gate (Algorithm 1 lines 17-19).
             // tie-lint: allow(no-wallclock) — commit-phase telemetry
             let commit_start = Instant::now();
-            let mut committed = 0usize;
-            let mut invalidated = false;
+            total_swaps += outcome.swaps;
+            total_repaired += outcome.repaired;
+            let accepted = gate.offer(outcome.coco_delta);
+            let tie = accepted && outcome.coco_delta == 0;
+            telemetry.record_gate(outcome.coco_delta, accepted, tie);
+            trace.emit(TraceEvent::Gate {
+                round,
+                coco_delta: outcome.coco_delta,
+                accepted,
+                tie,
+                coco: gate.coco(),
+            });
             let mut rejection_stop = None;
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                total_swaps += outcome.swaps;
-                total_repaired += outcome.repaired;
-                committed += 1;
-                let accepted = gate.offer(outcome.coco_delta);
-                let tie = accepted && outcome.coco_delta == 0;
-                telemetry.record_gate(outcome.coco_delta, accepted, tie);
-                trace.emit(TraceEvent::Gate {
-                    round: next + i,
-                    coco_delta: outcome.coco_delta,
-                    accepted,
-                    tie,
-                    coco: gate.coco(),
-                });
-                if accepted {
-                    consecutive_rejections = 0;
-                    invalidated = outcome.labels != labeling.labels;
-                    labeling.set_labels(outcome.labels);
-                    if invalidated {
-                        break;
-                    }
-                } else {
-                    consecutive_rejections += 1;
-                    // Adaptive stopping rule (opt-in): counted in commit
-                    // order, which is permutation order for every
-                    // (threads, batch) setting — so the truncation point and
-                    // hence the result stay byte-identical across thread
-                    // counts.
-                    if let Some(k) = cfg.max_consecutive_rejections {
-                        if consecutive_rejections >= k {
-                            rejection_stop = Some(StopReason::ConsecutiveRejections(k));
-                            break;
-                        }
+            if accepted {
+                consecutive_rejections = 0;
+                labeling.set_labels(outcome.labels);
+            } else {
+                consecutive_rejections += 1;
+                // Adaptive stopping rule (opt-in).
+                if let Some(k) = cfg.max_consecutive_rejections {
+                    if consecutive_rejections >= k {
+                        rejection_stop = Some(StopReason::ConsecutiveRejections(k));
                     }
                 }
             }
@@ -405,23 +251,6 @@ impl Timer {
                 level: None,
                 elapsed_us: commit_us,
             });
-            if b > 1 {
-                trace.emit(TraceEvent::Speculation {
-                    first_round: next,
-                    batch_len: b,
-                    committed,
-                    invalidated,
-                    depth,
-                });
-            }
-            next += committed;
-            // Reset only when speculations were actually discarded (an
-            // acceptance in the batch's last slot wastes nothing).
-            depth = if invalidated && committed < b {
-                1
-            } else {
-                (depth * 2).min(max_batch.max(1))
-            };
 
             debug_assert_eq!(
                 gate.coco(),
@@ -465,16 +294,6 @@ impl Timer {
             stop_reason,
         })
     }
-}
-
-/// Usable hardware parallelism (respects CPU affinity/cgroup limits), cached
-/// after the first query. `None` when the platform cannot tell — the driver
-/// then trusts the configured thread count instead of silently serializing
-/// the batch (the old `.unwrap_or(1)` fallback capped every batch to one
-/// spawned worker exactly on the platforms where parallelism is unknowable).
-fn hardware_threads() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get()))
 }
 
 /// Stringifies a panic payload (`&str` and `String` payloads cover every
@@ -535,8 +354,8 @@ struct RoundOutcome {
 /// Executes one full hierarchy round (Algorithm 1 lines 6–16) from `base`:
 /// permute digits, build and sweep the hierarchy, assemble, un-permute, and
 /// price the candidate against the base via an incidence-limited delta scan.
-/// Pure function of `(base, perm)` — the speculation correctness hinges on
-/// that; `round`/`trace` only record what happened and never influence it.
+/// Pure function of `(base, perm)` — the quarantine re-run relies on that;
+/// `round`/`trace` only record what happened and never influence it.
 #[allow(clippy::too_many_arguments)] // private helper mirroring the algorithm
 fn run_round(
     graph: &Graph,
@@ -670,9 +489,8 @@ mod tests {
             .sum()
     }
 
-    // The name predates the removal of the Div term; the test checks Coco.
     #[test]
-    fn timer_never_worsens_coco_plus_and_preserves_balance() {
+    fn timer_never_worsens_coco_and_preserves_balance() {
         let (ga, topo, pcube, mapping) = fixture(1);
         let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(10, 7)).unwrap();
         assert!(result.final_coco <= result.initial_coco);
@@ -736,7 +554,7 @@ mod tests {
         // never change result bytes — cold context, warm context and the
         // plain `enhance` wrapper all walk the identical trajectory.
         let (ga, topo, pcube, mapping) = fixture(7);
-        let timer = Timer::new(TimerConfig::new(10, 7).with_threads(2));
+        let timer = Timer::new(TimerConfig::new(10, 7));
         let direct = timer.enhance(&ga, &pcube, &mapping).unwrap();
         let ctx = TopologyContext::recognize(&topo.graph).unwrap();
         let cold = timer.enhance_with_context(&ga, &ctx, &mapping).unwrap();
@@ -767,56 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_variant_produces_valid_result() {
-        let (ga, topo, pcube, mapping) = fixture(6);
-        let result = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(6, 2).with_threads(4),
-        )
-        .unwrap();
-        assert!(result.final_coco <= result.initial_coco);
-        assert_eq!(
-            result.final_coco,
-            coco_by_distances(&ga, &topo.graph, &result.mapping)
-        );
-        let mut before = mapping.load_per_pe();
-        let mut after = result.mapping.load_per_pe();
-        before.sort_unstable();
-        after.sort_unstable();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn batched_enhance_is_byte_identical_across_threads_and_batches() {
-        // Threads and batch are pure scheduling knobs: every combination must
-        // reproduce the sequential trajectory bit for bit, counters included.
-        let (ga, _, pcube, mapping) = fixture(8);
-        let sequential = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(12, 4)).unwrap();
-        for (threads, batch) in [(2, 0), (4, 0), (4, 2), (3, 5), (8, 8), (1, 4)] {
-            let r = enhance_mapping(
-                &ga,
-                &pcube,
-                &mapping,
-                TimerConfig::new(12, 4)
-                    .with_threads(threads)
-                    .with_batch(batch),
-            )
-            .unwrap();
-            assert_eq!(
-                r.labeling.labels, sequential.labeling.labels,
-                "threads={threads} batch={batch}"
-            );
-            assert_eq!(r.mapping, sequential.mapping);
-            assert_eq!(r.final_coco, sequential.final_coco);
-            assert_eq!(r.hierarchies_accepted, sequential.hierarchies_accepted);
-            assert_eq!(r.total_swaps, sequential.total_swaps);
-            assert_eq!(r.total_repaired, sequential.total_repaired);
-        }
-    }
-
-    #[test]
     fn equal_objective_rounds_count_as_accepted() {
         // Regression for the accept-gate bookkeeping: on an edgeless
         // application graph every candidate labeling has objective 0, so
@@ -833,17 +601,6 @@ mod tests {
             result.hierarchies_accepted, 6,
             "every equal-objective round replaces the labeling and must be counted"
         );
-        // The tie-only instance also exercises the speculation fast path
-        // (kept rounds with unchanged labels must not invalidate the batch).
-        let batched = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(6, 1).with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(batched.hierarchies_accepted, 6);
-        assert_eq!(batched.labeling.labels, result.labeling.labels);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub enum TieError {
     /// The topology/labeling pair cannot carry the mapping: non-partial-cube
     /// topology, PE-count mismatch, duplicate PE labels, label overflow.
     IncompatibleTopology(String),
-    /// A hierarchy-round worker panicked and the sequential quarantine
-    /// re-run panicked again — the fault is persistent, not transient, so
+    /// A hierarchy round panicked and its quarantine re-run panicked
+    /// again — the fault is persistent, not transient, so
     /// the run cannot complete. (A *transient* panic is absorbed: see
     /// `RoundTelemetry::worker_panics`.)
     WorkerPanicked {

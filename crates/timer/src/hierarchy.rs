@@ -129,9 +129,9 @@ pub fn sweep_with(
 /// prefix-bucket pair search ([`SweepScratch`]), the sorted-deduped prefix
 /// array of the contraction, and the counting-sort buffers of the CSR
 /// contraction kernel ([`ContractScratch`]). One scratch serves all
-/// `dim − 1` levels of a hierarchy — and, threaded through the driver's
-/// speculative workers, all rounds a worker ever executes: buffers grow to
-/// the largest level once and are never reallocated again. Results never
+/// `dim − 1` levels of a hierarchy — and, kept alive by the driver, all
+/// rounds of a run: buffers grow to the largest level once and are never
+/// reallocated again. Results never
 /// depend on leftover scratch contents.
 #[derive(Clone, Debug, Default)]
 pub struct HierarchyScratch {
@@ -252,11 +252,10 @@ pub fn build_hierarchy(graph: &Graph, labels: Vec<u64>, dim: usize, p_mask: u64)
 
 /// [`build_hierarchy`] with flight-recorder context and caller-provided
 /// scratch: per-level sweep and contraction spans are emitted through
-/// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round` so
-/// concurrent speculated rounds stay distinguishable in the recording.
+/// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round`.
 /// `scratch` carries the sweep and contraction buffers across all levels —
-/// and, when the caller keeps it alive (as the driver's speculative workers
-/// do), across hierarchy rounds. The result never depends on what a
+/// and, when the caller keeps it alive (as the driver does), across
+/// hierarchy rounds. The result never depends on what a
 /// previous run left in the scratch.
 pub fn build_hierarchy_traced(
     graph: &Graph,

@@ -55,14 +55,6 @@ use tie_trace::TraceHandle;
 /// request allocate gigabytes; the paper uses at most 50.
 pub const MAX_HIERARCHIES: usize = 1024;
 
-/// Largest `threads` [`TimerConfig::validate`] accepts. The driver pre-sizes
-/// one hierarchy scratch per thread at the instance size.
-pub const MAX_THREADS: usize = 256;
-
-/// Largest `batch` [`TimerConfig::validate`] accepts. A batch holds up to
-/// `min(NH, batch)` candidate label vectors at once.
-pub const MAX_BATCH: usize = 256;
-
 /// Configuration of the TIMER search.
 #[derive(Clone, Debug)]
 pub struct TimerConfig {
@@ -71,36 +63,23 @@ pub struct TimerConfig {
     pub num_hierarchies: usize,
     /// Seed for hierarchy permutations and the extension-label shuffle.
     pub seed: u64,
-    /// Number of worker threads for the speculative hierarchy batches
-    /// (1 = fully sequential, the paper's setting; >1 runs whole hierarchy
-    /// rounds concurrently, the Section 6.3 outlook). The result is
-    /// byte-identical for every thread count.
-    pub threads: usize,
-    /// Cap on the adaptive speculation depth (hierarchy rounds in flight per
-    /// batch); 0 (the default) matches `threads`. Purely a scheduling knob —
-    /// results never depend on it — and values above `threads` only add
-    /// wasted work when a round is accepted, so the default is almost always
-    /// right.
-    pub batch: usize,
     /// Flight-recorder handle (see `tie-trace`). Disabled by default, in
     /// which case every instrumentation point is a single branch and
     /// `Timer::enhance` behaves byte-identically to the uninstrumented
     /// driver. Tracing never influences the search — it only records it.
     pub trace: TraceHandle,
-    /// Optional wall-clock budget for the whole search. Checked at batch
-    /// boundaries; on expiry the driver returns the best labeling accepted
-    /// so far with [`StopReason::DeadlineExceeded`]. `None` (the default)
-    /// means unbounded. Note that a wall-clock stop may land on a different
-    /// round for different thread counts, so deadline-bounded runs are the
-    /// one mode exempt from the byte-identity guarantee.
+    /// Optional wall-clock budget for the whole search. Checked before each
+    /// round; on expiry the driver returns the best labeling accepted so far
+    /// with [`StopReason::DeadlineExceeded`]. `None` (the default) means
+    /// unbounded. A wall-clock stop may land on a different round from run
+    /// to run, so deadline-bounded runs are the one mode exempt from the
+    /// byte-identity guarantee.
     pub deadline: Option<Duration>,
     /// Opt-in adaptive stopping rule: stop after this many *consecutive*
-    /// rejected hierarchy rounds (counted in commit order, so the truncation
-    /// point — and hence the result — is identical for every thread count).
-    /// `None` (the default) disables the rule; `Some(0)` is rejected by
-    /// [`TimerConfig::validate`].
+    /// rejected hierarchy rounds. `None` (the default) disables the rule;
+    /// `Some(0)` is rejected by [`TimerConfig::validate`].
     pub max_consecutive_rejections: Option<usize>,
-    /// Cooperative cancellation, checked at batch boundaries. The default
+    /// Cooperative cancellation, checked before each round. The default
     /// token is never cancelled.
     pub cancel: CancelToken,
     /// Fault-injection handle (see `tie-fault`). Disabled by default — a
@@ -114,8 +93,6 @@ impl Default for TimerConfig {
         TimerConfig {
             num_hierarchies: 50,
             seed: 0,
-            threads: 1,
-            batch: 0,
             trace: TraceHandle::off(),
             deadline: None,
             max_consecutive_rejections: None,
@@ -136,21 +113,20 @@ impl TimerConfig {
         }
     }
 
-    /// Sets the number of worker threads for speculative hierarchy batches.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// No-op: the driver runs its rounds one at a time.
+    #[deprecated(note = "TIMER runs its rounds sequentially; the thread count is ignored")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Caps the number of hierarchy rounds speculated per batch
-    /// (0 = match `threads`).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
+    /// No-op: the driver runs its rounds one at a time.
+    #[deprecated(note = "TIMER runs its rounds sequentially; the batch size is ignored")]
+    pub fn with_batch(self, _batch: usize) -> Self {
         self
     }
 
-    /// Attaches a flight-recorder handle; the driver emits accept-gate,
-    /// phase-timing and speculation events through it.
+    /// Attaches a flight-recorder handle; the driver emits accept-gate and
+    /// phase-timing events through it.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
         self.trace = trace;
         self
@@ -171,8 +147,8 @@ impl TimerConfig {
     }
 
     /// Attaches a cancellation token; `token.cancel()` makes the driver
-    /// return best-so-far with [`StopReason::Cancelled`] at the next batch
-    /// boundary.
+    /// return best-so-far with [`StopReason::Cancelled`] before the next
+    /// round.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -184,41 +160,19 @@ impl TimerConfig {
         self
     }
 
-    /// The speculation-depth cap the driver actually uses: `batch` with the
-    /// `0` sentinel resolved to `threads`. The single source of truth for
-    /// that resolution — harness and reporting code must use this instead of
-    /// re-deriving it.
-    pub fn effective_batch(&self) -> usize {
-        if self.batch == 0 {
-            self.threads.max(1)
-        } else {
-            self.batch
-        }
-    }
-
     /// Checks the config's internal sanity (the instance-independent half of
     /// validation; `Timer::enhance` also checks the config against the
     /// concrete graph/topology/mapping). Called by the driver up front so a
     /// bad config fails fast with a [`TieError::InvalidInput`] instead of
-    /// misbehaving mid-run. The resource caps ([`MAX_HIERARCHIES`],
-    /// [`MAX_THREADS`], [`MAX_BATCH`]) are checked here too, so a service can
-    /// reject an oversized request before it does any work.
+    /// misbehaving mid-run. The [`MAX_HIERARCHIES`] cap is checked here
+    /// too, so a service can reject an oversized request before it does any
+    /// work.
     pub fn validate(&self) -> Result<(), TieError> {
-        if self.threads == 0 {
-            return Err(TieError::InvalidInput(
-                "threads must be >= 1 (0 workers cannot make progress)".into(),
-            ));
-        }
-        for (name, value, cap) in [
-            ("num_hierarchies", self.num_hierarchies, MAX_HIERARCHIES),
-            ("threads", self.threads, MAX_THREADS),
-            ("batch", self.batch, MAX_BATCH),
-        ] {
-            if value > cap {
-                return Err(TieError::InvalidInput(format!(
-                    "{name} must be <= {cap} (got {value})"
-                )));
-            }
+        if self.num_hierarchies > MAX_HIERARCHIES {
+            return Err(TieError::InvalidInput(format!(
+                "num_hierarchies must be <= {MAX_HIERARCHIES} (got {})",
+                self.num_hierarchies
+            )));
         }
         if self.max_consecutive_rejections == Some(0) {
             return Err(TieError::InvalidInput(

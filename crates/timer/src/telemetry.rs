@@ -18,10 +18,8 @@ use crate::error::StopReason;
 /// wall-clock breakdown.
 ///
 /// The gate-side fields (`accepted`, `rejected`, `ties`, the histogram) are
-/// part of the deterministic trajectory and therefore byte-identical across
-/// every `(threads, batch)` setting. `phases` is wall-clock and is not:
-/// speculated rounds that get invalidated still burned real time, which the
-/// breakdown reports honestly.
+/// part of the deterministic trajectory and therefore byte-identical from
+/// run to run. `phases` is wall-clock and is not.
 #[derive(Clone, Debug, Default)]
 pub struct RoundTelemetry {
     /// Rounds the gate kept (including equal-objective ties). Mirrors
@@ -34,11 +32,9 @@ pub struct RoundTelemetry {
     pub ties: usize,
     /// Distribution of the per-round `ΔCoco` the gate ruled on.
     pub delta_coco: LogHistogram,
-    /// Accumulated wall-clock per pipeline phase across the whole run
-    /// (including invalidated speculations — real work is counted).
+    /// Accumulated wall-clock per pipeline phase across the whole run.
     pub phases: PhaseTimes,
-    /// Speculative workers that panicked and were absorbed by the quarantine
-    /// re-run (see `docs/RESILIENCE.md`). Zero on every healthy run; like
+    /// Round panics absorbed by the quarantine re-run (see `docs/RESILIENCE.md`). Zero on every healthy run; like
     /// `phases` it reports what *happened*, not the trajectory, so it is
     /// excluded from [`RoundTelemetry::same_gate_trajectory`].
     pub worker_panics: usize,

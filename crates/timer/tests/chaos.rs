@@ -3,10 +3,9 @@
 //!
 //! The central claims under test:
 //!
-//! * an injected speculative-worker panic is absorbed (quarantined round is
-//!   re-run sequentially) and the committed trajectory stays **byte-identical**
-//!   to a clean sequential run, for every thread count,
-//! * a *persistent* fault (panics again on the sequential re-run) surfaces as
+//! * an injected round panic is absorbed (the round is re-run once in place)
+//!   and the trajectory stays **byte-identical** to a clean run,
+//! * a *persistent* fault (panics again on the re-run) surfaces as
 //!   `TieError::WorkerPanicked` instead of tearing the process down,
 //! * deadline expiry, cancellation and the k-consecutive-rejections rule
 //!   return a fully committed best-so-far labeling with the right
@@ -79,23 +78,17 @@ fn transient_worker_panic_is_absorbed_and_byte_identical() {
     assert_eq!(clean.stop_reason, StopReason::Completed);
     assert_eq!(clean.telemetry.worker_panics, 0);
 
-    for threads in 1..=8usize {
-        // One panic armed in the middle of the run: it fires on the first
-        // attempt of round 3 (speculative or sequential) and is consumed, so
-        // the quarantine re-run succeeds.
-        let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round(3));
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .with_faults(faults);
-        let faulty = enhance_mapping(&ga, &pcube, &mapping, cfg)
-            .unwrap_or_else(|e| panic!("threads {threads}: enhance failed: {e}"));
-        assert_eq!(
-            faulty.telemetry.worker_panics, 1,
-            "threads {threads}: the injected panic must be counted"
-        );
-        assert_eq!(faulty.stop_reason, StopReason::Completed);
-        assert_same_trajectory(&faulty, &clean, &format!("threads {threads}"));
-    }
+    // One panic armed in the middle of the run: it fires on the first
+    // attempt of round 3 and is consumed, so the quarantine re-run succeeds.
+    let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round(3));
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
+    let faulty = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    assert_eq!(
+        faulty.telemetry.worker_panics, 1,
+        "the injected panic must be counted"
+    );
+    assert_eq!(faulty.stop_reason, StopReason::Completed);
+    assert_same_trajectory(&faulty, &clean, "transient panic");
 }
 
 #[test]
@@ -104,52 +97,44 @@ fn seeded_panic_storm_is_absorbed_and_byte_identical() {
     let (ga, pcube, mapping, _) = fixture();
     let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(NH, SEED)).unwrap();
 
-    for threads in [2usize, 4, 8] {
-        // Three seeded one-shot panics spread over the first NH rounds.
-        let faults = FaultHandle::new(FaultPlan::new().with_seeded_panics(99, 3, NH));
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .with_faults(faults.clone());
-        let faulty = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-        assert_eq!(
-            faulty.telemetry.worker_panics,
-            faults.panics_fired(),
-            "every fired panic must be accounted for"
-        );
-        assert!(faulty.telemetry.worker_panics >= 1);
-        assert_same_trajectory(&faulty, &clean, &format!("storm, threads {threads}"));
-    }
+    // Three seeded one-shot panics spread over the first NH rounds.
+    let faults = FaultHandle::new(FaultPlan::new().with_seeded_panics(99, 3, NH));
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults.clone());
+    let faulty = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    assert_eq!(
+        faulty.telemetry.worker_panics,
+        faults.panics_fired(),
+        "every fired panic must be accounted for"
+    );
+    assert!(faulty.telemetry.worker_panics >= 1);
+    assert_same_trajectory(&faulty, &clean, "storm");
 }
 
 #[test]
 fn persistent_panic_is_reported_as_worker_panicked() {
     silence_injected_panics();
     let (ga, pcube, mapping, _) = fixture();
-    for threads in [1usize, 4] {
-        // Armed twice at the same round: the quarantine re-run panics too,
-        // which the driver must surface as a typed error.
-        let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round_times(2, 2));
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .with_faults(faults);
-        match enhance_mapping(&ga, &pcube, &mapping, cfg) {
-            Err(TieError::WorkerPanicked { round, message }) => {
-                assert_eq!(round, 2);
-                assert!(
-                    message.contains(INJECTED_PANIC_PREFIX),
-                    "panic payload should be preserved: {message}"
-                );
-            }
-            other => panic!("threads {threads}: expected WorkerPanicked, got {other:?}"),
+    // Armed twice at the same round: the quarantine re-run panics too,
+    // which the driver must surface as a typed error.
+    let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round_times(2, 2));
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
+    match enhance_mapping(&ga, &pcube, &mapping, cfg) {
+        Err(TieError::WorkerPanicked { round, message }) => {
+            assert_eq!(round, 2);
+            assert!(
+                message.contains(INJECTED_PANIC_PREFIX),
+                "panic payload should be preserved: {message}"
+            );
         }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
     }
 }
 
 #[test]
 fn expired_deadline_returns_best_so_far() {
     let (ga, pcube, mapping, topo) = fixture();
-    // A deadline far shorter than the run: the driver stops at the first
-    // batch boundary it checks. 1 ns is over before the loop starts, so the
+    // A deadline far shorter than the run: the driver stops before the
+    // first round it checks. 1 ns is over before the loop starts, so the
     // result is the initial labeling, fully committed and consistent.
     let cfg = TimerConfig::new(NH, SEED).with_deadline(Duration::from_nanos(1));
     let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
@@ -182,27 +167,34 @@ fn cancel_token_stops_the_run() {
 fn rejection_stopping_rule_truncates_identically_across_threads() {
     let (ga, pcube, mapping, _) = fixture();
     let k = 2usize;
-    let mut reference: Option<TimerResult> = None;
-    for threads in 1..=8usize {
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .stop_after_rejections(k);
-        let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-        match result.stop_reason {
-            StopReason::Completed => {
-                assert!(
-                    result.telemetry.rejected < k || result.telemetry.rounds() == NH,
-                    "completed runs must not contain an unseen k-rejection streak"
-                );
-            }
-            StopReason::ConsecutiveRejections(seen) => assert_eq!(seen, k),
-            other => panic!("unexpected stop reason {other:?}"),
+    let run = || {
+        let cfg = TimerConfig::new(NH, SEED).stop_after_rejections(k);
+        enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap()
+    };
+    let reference = run();
+    assert_eq!(reference.telemetry.stop_reason, reference.stop_reason);
+    match reference.stop_reason {
+        StopReason::Completed => {
+            assert!(
+                reference.telemetry.rejected < k || reference.telemetry.rounds() == NH,
+                "completed runs must not contain an unseen k-rejection streak"
+            );
         }
-        match &reference {
-            None => reference = Some(result),
-            Some(r) => assert_same_trajectory(&result, r, &format!("k-stop, threads {threads}")),
+        StopReason::ConsecutiveRejections(seen) => {
+            assert_eq!(seen, k);
+            assert!(reference.telemetry.rounds() < NH);
         }
+        other => panic!("unexpected stop reason {other:?}"),
     }
+    // Runs served side by side on separate threads stop at the same round.
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4).map(|_| scope.spawn(run)).collect();
+        for (i, h) in handles.into_iter().enumerate() {
+            let result = h.join().unwrap();
+            assert_eq!(result.stop_reason, reference.stop_reason);
+            assert_same_trajectory(&result, &reference, &format!("k-stop, thread {i}"));
+        }
+    });
 }
 
 #[test]
@@ -211,20 +203,15 @@ fn zero_deadline_and_zero_k_are_rejected_up_front() {
     for cfg in [
         TimerConfig::new(NH, SEED).with_deadline(Duration::ZERO),
         TimerConfig::new(NH, SEED).stop_after_rejections(0),
-        // The resource caps bound what one run may allocate: NH × dim
-        // permutation words, one hierarchy scratch per thread, one label
-        // vector per batch slot.
+        // The cap bounds what one run may allocate: NH × dim permutation
+        // words.
         TimerConfig::new(tie_timer::MAX_HIERARCHIES + 1, SEED),
-        TimerConfig::new(NH, SEED).with_threads(tie_timer::MAX_THREADS + 1),
-        TimerConfig::new(NH, SEED).with_batch(tie_timer::MAX_BATCH + 1),
     ] {
         let err = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap_err();
         assert!(matches!(err, TieError::InvalidInput(_)), "{err:?}");
     }
-    let at_caps = TimerConfig::new(tie_timer::MAX_HIERARCHIES, SEED)
-        .with_threads(tie_timer::MAX_THREADS)
-        .with_batch(tie_timer::MAX_BATCH);
-    assert!(at_caps.validate().is_ok());
+    let at_cap = TimerConfig::new(tie_timer::MAX_HIERARCHIES, SEED);
+    assert!(at_cap.validate().is_ok());
 }
 
 #[test]
@@ -236,9 +223,7 @@ fn phase_delays_do_not_change_the_trajectory() {
             .with_delay("hierarchy_build", Duration::from_micros(200))
             .with_delay("delta_scan", Duration::from_micros(200)),
     );
-    let cfg = TimerConfig::new(NH, SEED)
-        .with_threads(4)
-        .with_faults(faults);
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
     let delayed = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
     assert_same_trajectory(&delayed, &clean, "delays");
     assert_eq!(delayed.telemetry.worker_panics, 0);

@@ -18,10 +18,6 @@ pub enum TraceEvent {
     RunStart {
         /// Number of hierarchy rounds (`NH`) the run will offer to the gate.
         nh: usize,
-        /// Worker threads for the speculative batches.
-        threads: usize,
-        /// Effective speculation-depth cap.
-        batch: usize,
         /// `Coco` of the initial labeling.
         initial_coco: u64,
     },
@@ -53,20 +49,6 @@ pub enum TraceEvent {
         /// Span duration in microseconds.
         elapsed_us: u64,
     },
-    /// A speculation batch was committed (or cut short by an invalidation).
-    Speculation {
-        /// First round index of the batch.
-        first_round: usize,
-        /// Rounds speculated in the batch.
-        batch_len: usize,
-        /// Rounds actually committed before an invalidation (== `batch_len`
-        /// when the batch survived intact).
-        committed: usize,
-        /// Whether an acceptance invalidated the remaining speculations.
-        invalidated: bool,
-        /// Speculation depth that produced the batch.
-        depth: usize,
-    },
     /// The `mapd` per-topology cache ruled on one lookup. `key` is the
     /// canonical topology name (builder-generated, identifier-like — no
     /// JSON escaping needed), the counters are cumulative since daemon start.
@@ -97,7 +79,7 @@ pub enum TraceEvent {
         /// Why the run stopped (`StopReason::name()`: "completed",
         /// "deadline_exceeded", "cancelled", "consecutive_rejections").
         stop_reason: &'static str,
-        /// Speculative worker panics absorbed by the quarantine re-run.
+        /// Round panics absorbed by the quarantine re-run.
         worker_panics: usize,
     },
 }
@@ -110,9 +92,7 @@ impl TraceEvent {
                 TraceLevel::Gate
             }
             TraceEvent::Phase { level: Some(_), .. } => TraceLevel::Debug,
-            TraceEvent::Phase { level: None, .. }
-            | TraceEvent::Speculation { .. }
-            | TraceEvent::Cache { .. } => TraceLevel::Phase,
+            TraceEvent::Phase { level: None, .. } | TraceEvent::Cache { .. } => TraceLevel::Phase,
         }
     }
 
@@ -122,7 +102,6 @@ impl TraceEvent {
             TraceEvent::RunStart { .. } => "run_start",
             TraceEvent::Gate { .. } => "gate",
             TraceEvent::Phase { .. } => "phase",
-            TraceEvent::Speculation { .. } => "speculation",
             TraceEvent::Cache { .. } => "cache",
             TraceEvent::RunEnd { .. } => "run_end",
         }
@@ -140,17 +119,8 @@ impl TraceEvent {
             self.kind()
         );
         match self {
-            TraceEvent::RunStart {
-                nh,
-                threads,
-                batch,
-                initial_coco,
-            } => {
-                let _ = write!(
-                    s,
-                    ", \"nh\": {nh}, \"threads\": {threads}, \"batch\": {batch}, \
-                     \"initial_coco\": {initial_coco}"
-                );
+            TraceEvent::RunStart { nh, initial_coco } => {
+                let _ = write!(s, ", \"nh\": {nh}, \"initial_coco\": {initial_coco}");
             }
             TraceEvent::Gate {
                 round,
@@ -179,20 +149,6 @@ impl TraceEvent {
                     let _ = write!(s, ", \"level\": {l}");
                 }
                 let _ = write!(s, ", \"elapsed_us\": {elapsed_us}");
-            }
-            TraceEvent::Speculation {
-                first_round,
-                batch_len,
-                committed,
-                invalidated,
-                depth,
-            } => {
-                let _ = write!(
-                    s,
-                    ", \"first_round\": {first_round}, \"batch_len\": {batch_len}, \
-                     \"committed\": {committed}, \"invalidated\": {invalidated}, \
-                     \"depth\": {depth}"
-                );
             }
             TraceEvent::Cache {
                 key,
@@ -234,16 +190,8 @@ impl TraceEvent {
         let mut s = String::with_capacity(120);
         let _ = write!(s, "[{:>10.3} ms t{thread}] ", ts_us as f64 / 1e3);
         match self {
-            TraceEvent::RunStart {
-                nh,
-                threads,
-                batch,
-                initial_coco,
-            } => {
-                let _ = write!(
-                    s,
-                    "run start: NH={nh} threads={threads} batch={batch} Coco={initial_coco}"
-                );
+            TraceEvent::RunStart { nh, initial_coco } => {
+                let _ = write!(s, "run start: NH={nh} Coco={initial_coco}");
             }
             TraceEvent::Gate {
                 round,
@@ -276,21 +224,6 @@ impl TraceEvent {
                     let _ = write!(s, " level {l}");
                 }
                 let _ = write!(s, ": {:.3} ms", *elapsed_us as f64 / 1e3);
-            }
-            TraceEvent::Speculation {
-                first_round,
-                batch_len,
-                committed,
-                invalidated,
-                depth,
-            } => {
-                let _ = write!(
-                    s,
-                    "speculation: rounds {first_round}..{} committed {committed}/{batch_len} \
-                     depth={depth}{}",
-                    first_round + batch_len,
-                    if *invalidated { " INVALIDATED" } else { "" }
-                );
             }
             TraceEvent::Cache {
                 key,
@@ -337,8 +270,6 @@ mod tests {
         vec![
             TraceEvent::RunStart {
                 nh: 40,
-                threads: 2,
-                batch: 2,
                 initial_coco: 71581,
             },
             TraceEvent::Gate {
@@ -359,13 +290,6 @@ mod tests {
                 round: None,
                 level: None,
                 elapsed_us: 9,
-            },
-            TraceEvent::Speculation {
-                first_round: 4,
-                batch_len: 2,
-                committed: 1,
-                invalidated: true,
-                depth: 2,
             },
             TraceEvent::RunEnd {
                 final_coco: 71581,
@@ -442,9 +366,8 @@ mod tests {
         assert_eq!(events[1].level(), TraceLevel::Gate); // gate
         assert_eq!(events[2].level(), TraceLevel::Debug); // per-level phase
         assert_eq!(events[3].level(), TraceLevel::Phase); // round-level phase
-        assert_eq!(events[4].level(), TraceLevel::Phase); // speculation
-        assert_eq!(events[5].level(), TraceLevel::Gate); // run_end
-        assert_eq!(events[6].level(), TraceLevel::Phase); // cache
+        assert_eq!(events[4].level(), TraceLevel::Gate); // run_end
+        assert_eq!(events[5].level(), TraceLevel::Phase); // cache
     }
 
     #[test]

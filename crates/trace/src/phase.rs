@@ -16,8 +16,8 @@ pub enum Phase {
     Assemble,
     /// The incidence-limited `ΔCoco` scan pricing a candidate.
     DeltaScan,
-    /// Committing a speculation batch against the live accept gate
-    /// (including invalidation handling).
+    /// Offering a round's candidate to the live accept gate and committing
+    /// it when kept.
     Commit,
     /// One `mapd` daemon request served end to end (parse, admission,
     /// enhancement, response serialization).

@@ -7,8 +7,8 @@ use std::sync::Mutex;
 
 use crate::event::TraceEvent;
 
-/// Receiver of trace events. Implementations must be thread-safe: the
-/// speculative TIMER driver emits from its worker threads concurrently.
+/// Receiver of trace events. Implementations must be thread-safe: `mapd`
+/// serves several requests at once through one shared handle.
 pub trait TraceSink: Send + Sync {
     /// Records one event. `ts_us` is monotonic microseconds since the
     /// owning [`crate::TraceHandle`] was created; `thread` a small
@@ -132,8 +132,6 @@ mod tests {
             let h = TraceHandle::new(sink, TraceLevel::Debug);
             h.emit(TraceEvent::RunStart {
                 nh: 2,
-                threads: 1,
-                batch: 1,
                 initial_coco: 10,
             });
             h.emit(TraceEvent::RunEnd {

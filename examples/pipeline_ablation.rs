@@ -1,8 +1,6 @@
 //! Ablation of TIMER's design choices on one instance:
 //!
 //! * number of hierarchies NH (10 vs 50),
-//! * sequential vs speculative batched hierarchy rounds (Section 6.3
-//!   outlook; identical result, different wall-clock),
 //! * TIMER vs a plain pairwise-swap refinement on the communication graph
 //!   (network-cost-matrix baseline).
 //!
@@ -54,10 +52,6 @@ fn main() {
 
     run("TIMER, NH=10", TimerConfig::new(10, 1));
     run("TIMER, NH=50 (paper setting)", TimerConfig::new(50, 1));
-    run(
-        "TIMER, NH=10, 4-way speculative batches",
-        TimerConfig::new(10, 1).with_threads(4),
-    );
 
     // Extension (conclusions of the paper): TIMER followed by a cut-edge
     // polishing pass that swaps arbitrary labels, not just single digits.

@@ -7,7 +7,7 @@ use tie_graph::generators;
 use tie_mapd::protocol::{GraphSource, MapRequest};
 use tie_mapd::{ServeError, Service, ServiceOptions};
 
-fn request(case: &str, seed: u64, threads: usize) -> MapRequest {
+fn request(case: &str, seed: u64) -> MapRequest {
     let g = generators::barabasi_albert(500, 4, seed);
     MapRequest {
         graph: GraphSource::Inline {
@@ -19,7 +19,7 @@ fn request(case: &str, seed: u64, threads: usize) -> MapRequest {
         nh: 10,
         eps: 0.03,
         seed,
-        threads,
+        threads: 1,
         batch: 0,
         deadline_ms: 0,
     }
@@ -32,8 +32,7 @@ fn service_results_are_identical_across_cache_dispositions_and_threads() {
         // are misses; the second call on each is a hit.
         let a = Service::new(ServiceOptions::default());
         let b = Service::new(ServiceOptions::default());
-        let req1 = request(case, 42, 1);
-        let req4 = request(case, 42, 4);
+        let req1 = request(case, 42);
 
         let miss = a.execute(&req1).expect("miss execution");
         let hit = a.execute(&req1).expect("hit execution");
@@ -43,14 +42,19 @@ fn service_results_are_identical_across_cache_dispositions_and_threads() {
         assert_eq!(miss.enhanced, hit.enhanced, "{case}");
         assert_eq!(miss.total_swaps, hit.total_swaps, "{case}");
 
-        // Thread count must not change the result either (the pipeline's
-        // determinism contract), served through a different service.
-        let threaded = b.execute(&req4).expect("threaded execution");
-        assert_eq!(
-            miss.mapping, threaded.mapping,
-            "{case}: threads changed the result"
-        );
-        assert_eq!(miss.enhanced, threaded.enhanced, "{case}");
+        // Serving the request from several threads at once must not change
+        // the result either (the pipeline's determinism contract).
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3).map(|_| scope.spawn(|| b.execute(&req1))).collect();
+            for h in handles {
+                let served = h.join().unwrap().expect("concurrent execution");
+                assert_eq!(
+                    miss.mapping, served.mapping,
+                    "{case}: concurrent serving changed the result"
+                );
+                assert_eq!(miss.enhanced, served.enhanced, "{case}");
+            }
+        });
 
         let stats = a.cache_stats();
         assert_eq!(stats.misses, 1, "{case}");
@@ -65,42 +69,33 @@ fn admission_counters_return_to_zero() {
         ..ServiceOptions::default()
     });
     assert_eq!(service.admission_capacity(), 1);
-    // `nh`, `threads` and `batch` size TIMER's allocations. A request above
-    // the caps fails as invalid before it takes a permit or builds a
-    // topology context, so the cache records no lookup at all.
-    let oversized = [
-        MapRequest {
-            nh: 1_000_000_000,
-            ..request("c2", 5, 1)
-        },
-        request("c2", 5, 1_000_000),
-        MapRequest {
-            batch: tie_timer::MAX_BATCH + 1,
-            ..request("c2", 5, 1)
-        },
-    ];
-    for req in &oversized {
-        match service.execute(req) {
-            Err(ServeError::Invalid(msg)) => assert!(msg.contains("must be <="), "{msg}"),
-            other => panic!("expected an invalid-request error, got {other:?}"),
-        }
+    // `nh` sizes TIMER's allocations. A request above the cap fails as
+    // invalid before it takes a permit or builds a topology context, so the
+    // cache records no lookup at all.
+    let oversized = MapRequest {
+        nh: 1_000_000_000,
+        ..request("c2", 5)
+    };
+    match service.execute(&oversized) {
+        Err(ServeError::Invalid(msg)) => assert!(msg.contains("must be <="), "{msg}"),
+        other => panic!("expected an invalid-request error, got {other:?}"),
     }
     let stats = service.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, 0), "no work may start");
-    service.execute(&request("c2", 5, 1)).expect("execution");
+    service.execute(&request("c2", 5)).expect("execution");
     assert_eq!(service.in_flight(), 0, "permit must be released");
 }
 
 #[test]
 fn deadline_zero_means_no_deadline_and_expired_deadline_rejects() {
     let service = Service::new(ServiceOptions::default());
-    let ok = service.execute(&request("c2", 9, 1)).expect("no deadline");
+    let ok = service.execute(&request("c2", 9)).expect("no deadline");
     assert_eq!(ok.stop_reason, "completed");
 
     // A 1 ms deadline on a fresh service cannot cover context construction
     // plus enhancement: the run must stop early or be rejected, never hang.
     let fresh = Service::new(ServiceOptions::default());
-    let mut req = request("c2", 9, 1);
+    let mut req = request("c2", 9);
     req.deadline_ms = 1;
     match fresh.execute(&req) {
         Ok(resp) => assert_eq!(resp.stop_reason, "deadline_exceeded", "{resp:?}"),

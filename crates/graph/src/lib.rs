@@ -15,8 +15,6 @@
 //!   for the paper's complex-network benchmark set,
 //! * [`traversal`] — BFS distances, connected components,
 //! * [`quotient`] — block contraction (communication-graph construction),
-//! * [`contract`] — the allocation-free, sort-based CSR contraction kernel
-//!   used by the coarsening loops (`contract_into` + `ContractScratch`),
 //! * [`bucket_queue`] — the gain bucket priority queue used by the
 //!   Fiduccia–Mattheyses refinement in `tie-partition`,
 //! * [`union_find`] — a disjoint-set forest,
@@ -29,7 +27,6 @@
 
 pub mod bucket_queue;
 pub mod builder;
-pub mod contract;
 pub mod csr;
 pub mod generators;
 pub mod io;
@@ -40,7 +37,6 @@ pub mod traversal;
 pub mod union_find;
 
 pub use builder::GraphBuilder;
-pub use contract::{contract_into, ContractScratch};
 pub use csr::{Graph, NodeId, Weight};
 pub use quotient::{quotient_graph, QuotientGraph};
 pub use subgraph::{induced_subgraph, Subgraph};

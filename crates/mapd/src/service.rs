@@ -18,6 +18,7 @@ use tie_graph::{io, Graph, GraphBuilder};
 use tie_mapping::{drb::drb_mapping, greedy, identity_mapping, Mapping};
 use tie_metrics::{evaluate, MappingQuality};
 use tie_partition::{partition, PartitionConfig};
+use tie_timer::labeling::{check_label_width, ext_bits_for};
 use tie_timer::{CancelToken, TieError, Timer, TimerConfig, TimerResult, TopologyContext};
 use tie_topology::Topology;
 use tie_trace::TraceHandle;
@@ -278,6 +279,12 @@ impl Service {
                 topo.num_pes()
             )));
         }
+        // Some PE carries at least ceil(n / k) tasks, so the labels need at
+        // least this many digits: a request over the 64-bit label width is
+        // refused here, before partitioning. The exact width, from the real
+        // largest block, is checked again when TIMER labels the mapping.
+        let min_block = ga.num_vertices().div_ceil(ctx.num_pes().max(1));
+        check_label_width(ctx.pcube().dim, ext_bits_for(min_block))?;
 
         let initial = map_initial(&ga, &topo, case, req.eps, req.seed);
 
@@ -452,6 +459,28 @@ mod tests {
             service.execute(&oversize),
             Err(ServeError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn label_width_overflow_is_refused_before_partitioning() {
+        // grid32x32 has 62 PE digits, so it carries at most 4 tasks per PE:
+        // 4097 tasks put at least 5 on some PE, which needs 3 extension
+        // digits and a 65-bit label.
+        let service = Service::new(ServiceOptions::default());
+        let req = MapRequest {
+            graph: GraphSource::Inline {
+                num_vertices: 4097,
+                edges: Vec::new(),
+            },
+            topology: "grid32x32".to_string(),
+            ..demo_request(5)
+        };
+        match service.execute(&req) {
+            Err(ServeError::Tie(TieError::IncompatibleTopology(msg))) => {
+                assert!(msg.contains("label width 65"), "{msg}");
+            }
+            other => panic!("expected a label-width error, got {other:?}"),
+        }
     }
 
     #[test]

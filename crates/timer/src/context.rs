@@ -2,11 +2,10 @@
 //!
 //! Everything TIMER derives from the *processor* graph alone is pure and
 //! reusable across every enhancement request targeting the same topology:
-//! the partial-cube labeling, the seeded digit-permutation streams, and the
-//! sizing of the hierarchy scratch buffers. A [`TopologyContext`] owns that
-//! state so `Timer::enhance_with_context` can borrow it instead of
-//! rebuilding it per call — the library split the `mapd` service caches
-//! behind a keyed per-topology cache.
+//! the partial-cube labeling and the seeded digit-permutation streams. A
+//! [`TopologyContext`] owns that state so `Timer::enhance_with_context` can
+//! borrow it instead of rebuilding it per call — the library split the
+//! `mapd` service caches behind a keyed per-topology cache.
 //!
 //! Correctness contract: a context never influences result bytes, only
 //! latency. The permutation streams are memoized verbatim from the driver's
@@ -15,7 +14,6 @@
 //! cold one — pinned by the driver's `enhance_with_context` tests.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
@@ -38,13 +36,12 @@ const MAX_PERM_STREAMS: usize = 64;
 type PermMemo = BTreeMap<(u64, usize, usize), Arc<Vec<Vec<usize>>>>;
 
 /// Reusable per-topology state: the partial-cube labeling of the processor
-/// graph, memoized digit-permutation streams, and a scratch sizing hint.
+/// graph and memoized digit-permutation streams.
 ///
 /// A context is immutable from the caller's perspective and `Sync`:
 /// concurrent enhancements may share one context through an `Arc`. Interior
 /// mutability is limited to the permutation memo (a mutex around a small
-/// map) and the sizing high-water mark (an atomic) — neither affects
-/// result bytes.
+/// map), which never affects result bytes.
 #[derive(Debug)]
 pub struct TopologyContext {
     pcube: PartialCubeLabeling,
@@ -52,9 +49,6 @@ pub struct TopologyContext {
     /// draws for that configuration. `dim` includes the per-instance
     /// extension bits, so one topology can hold streams for several widths.
     perms: Mutex<PermMemo>,
-    /// Largest application-graph vertex count seen by this context; used to
-    /// pre-size `HierarchyScratch` buffers for later runs.
-    vertex_high_water: AtomicUsize,
 }
 
 impl TopologyContext {
@@ -63,7 +57,6 @@ impl TopologyContext {
         TopologyContext {
             pcube,
             perms: Mutex::new(BTreeMap::new()),
-            vertex_high_water: AtomicUsize::new(0),
         }
     }
 
@@ -107,19 +100,6 @@ impl TopologyContext {
         }
         memo.insert(key, Arc::clone(&generated));
         generated
-    }
-
-    /// Records that an instance with `num_vertices` application vertices ran
-    /// against this context (raises the scratch sizing high-water mark).
-    pub fn note_vertices(&self, num_vertices: usize) {
-        self.vertex_high_water
-            .fetch_max(num_vertices, Ordering::Relaxed);
-    }
-
-    /// Suggested vertex capacity for pre-sizing `HierarchyScratch` buffers:
-    /// the largest instance this context has served so far (0 when cold).
-    pub fn scratch_vertices_hint(&self) -> usize {
-        self.vertex_high_water.load(Ordering::Relaxed)
     }
 
     fn lock_perms(&self) -> MutexGuard<'_, PermMemo> {
@@ -184,18 +164,6 @@ mod tests {
             generate_permutations(3, 8, 5),
             "memoization must not change the stream"
         );
-    }
-
-    #[test]
-    fn vertex_high_water_only_rises() {
-        let topo = Topology::hypercube(3);
-        let ctx = TopologyContext::recognize(&topo.graph).unwrap();
-        assert_eq!(ctx.scratch_vertices_hint(), 0);
-        ctx.note_vertices(100);
-        ctx.note_vertices(40);
-        assert_eq!(ctx.scratch_vertices_hint(), 100);
-        ctx.note_vertices(250);
-        assert_eq!(ctx.scratch_vertices_hint(), 250);
     }
 
     #[test]

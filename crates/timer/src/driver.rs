@@ -23,7 +23,7 @@ use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle};
 use crate::assemble::assemble_labels;
 use crate::context::TopologyContext;
 use crate::error::{StopReason, TieError};
-use crate::hierarchy::{build_hierarchy_traced, HierarchyScratch};
+use crate::hierarchy::{sweep_levels, HierarchyScratch};
 use crate::labeling::Labeling;
 use crate::objective::{coco_delta, coco_for_labels, AcceptGate};
 use crate::telemetry::RoundTelemetry;
@@ -114,9 +114,9 @@ impl Timer {
     }
 
     /// [`Timer::enhance`] over borrowed per-topology state: the partial-cube
-    /// labeling, memoized permutation streams and scratch sizing hints come
-    /// from `ctx` instead of being rebuilt per call. This is the entry point
-    /// a long-running service uses with a cached [`TopologyContext`]; the
+    /// labeling and memoized permutation streams come from `ctx` instead of
+    /// being rebuilt per call. This is the entry point a long-running
+    /// service uses with a cached [`TopologyContext`]; the
     /// result is byte-identical to [`Timer::enhance`] for the same inputs —
     /// a context is a latency optimization, never a correctness dependency.
     ///
@@ -163,15 +163,11 @@ impl Timer {
         let mut worker_panics = 0usize;
         let mut consecutive_rejections = 0usize;
 
-        // One hierarchy scratch living for the whole run: every round reuses
-        // its sweep/contraction buffers, so the allocation set of the hot
-        // path is paid once per `enhance` call instead of once per level per
-        // round. Scratch contents never influence results (pinned by the
-        // contraction-equivalence proptest). The context's sizing hint
-        // (high-water vertex count of earlier runs) pre-sizes the buffers so
-        // a warm-context run skips the growth reallocations too.
-        ctx.note_vertices(graph.num_vertices());
-        let mut scratch = HierarchyScratch::with_vertex_capacity(ctx.scratch_vertices_hint());
+        // One round scratch living for the whole run: every round reuses its
+        // sort and trie buffers, so they grow to the instance once. Scratch
+        // contents never influence results (pinned by the round-equivalence
+        // proptest, which runs on a dirtied scratch).
+        let mut scratch = HierarchyScratch::default();
 
         for (round, perm) in perms.iter().enumerate() {
             // Graceful-degradation checks before each round: the labeling is
@@ -352,7 +348,7 @@ struct RoundOutcome {
 }
 
 /// Executes one full hierarchy round (Algorithm 1 lines 6–16) from `base`:
-/// permute digits, build and sweep the hierarchy, assemble, un-permute, and
+/// permute digits, sweep every hierarchy level, assemble, un-permute, and
 /// price the candidate against the base via an incidence-limited delta scan.
 /// Pure function of `(base, perm)` — the quarantine re-run relies on that;
 /// `round`/`trace` only record what happened and never influence it.
@@ -379,25 +375,27 @@ fn run_round(
     faults.delay("hierarchy_build");
     // tie-lint: allow(no-wallclock) — hierarchy-phase telemetry
     let build_start = Instant::now();
-    let permuted: Vec<u64> = base
+    let mut cur: Vec<u64> = base
         .iter()
         .map(|&l| permute_label_bits(l, perm, dim))
         .collect();
     let p_mask_perm = permute_label_bits(p_mask, perm, dim);
 
-    // Lines 9-14: swap sweeps interleaved with contractions.
-    let run = build_hierarchy_traced(
+    // Lines 9-14: the swap sweeps of every hierarchy level, run on the
+    // application graph itself (see `hierarchy` for why no level needs a
+    // coarse graph).
+    let sweeps = sweep_levels(
         graph,
-        permuted,
+        &mut cur,
         dim,
         p_mask_perm,
         Some(round),
         trace,
         scratch,
     );
-    // The hierarchy-build span contains the per-level sweep/contract spans.
+    // The hierarchy-build span contains the per-level sweep spans.
     let build_us = build_start.elapsed().as_micros() as u64;
-    phases.merge(&run.phases);
+    phases.merge(&sweeps.phases);
     phases.add(Phase::HierarchyBuild, build_us);
     trace.emit(TraceEvent::Phase {
         phase: Phase::HierarchyBuild,
@@ -406,12 +404,12 @@ fn run_round(
         elapsed_us: build_us,
     });
 
-    // Line 15: assemble a new fine-level labeling from the hierarchy, then
-    // (line 16) undo the digit permutation.
+    // Line 15: assemble a new fine-level labeling from the swept labels,
+    // then (line 16) undo the digit permutation.
     faults.delay("assemble");
     // tie-lint: allow(no-wallclock) — assemble-phase telemetry
     let assemble_start = Instant::now();
-    let assembled = assemble_labels(&run, dim);
+    let assembled = assemble_labels(&cur, dim, scratch);
     let labels: Vec<u64> = assembled
         .labels
         .iter()
@@ -442,7 +440,7 @@ fn run_round(
     RoundOutcome {
         labels,
         coco_delta,
-        swaps: run.total_swaps,
+        swaps: sweeps.swaps,
         repaired: assembled.repaired,
         phases,
     }
@@ -550,18 +548,14 @@ mod tests {
     #[test]
     fn enhance_with_context_is_byte_identical_to_enhance() {
         // The context split's headline contract: a shared, reused
-        // `TopologyContext` (memoized perm streams, warm scratch hints) must
-        // never change result bytes — cold context, warm context and the
-        // plain `enhance` wrapper all walk the identical trajectory.
+        // `TopologyContext` (memoized perm streams) must never change result
+        // bytes — cold context, warm context and the plain `enhance` wrapper
+        // all walk the identical trajectory.
         let (ga, topo, pcube, mapping) = fixture(7);
         let timer = Timer::new(TimerConfig::new(10, 7));
         let direct = timer.enhance(&ga, &pcube, &mapping).unwrap();
         let ctx = TopologyContext::recognize(&topo.graph).unwrap();
         let cold = timer.enhance_with_context(&ga, &ctx, &mapping).unwrap();
-        assert!(
-            ctx.scratch_vertices_hint() >= ga.num_vertices(),
-            "the first run must warm the context's sizing hint"
-        );
         let warm = timer.enhance_with_context(&ga, &ctx, &mapping).unwrap();
         for (label, r) in [("cold", &cold), ("warm", &warm)] {
             assert_eq!(r.labeling.labels, direct.labeling.labels, "{label}");

@@ -1,388 +1,157 @@
-//! Label-driven hierarchy construction with interleaved swap sweeps
-//! (the inner loop of Algorithm 1, lines 9–14).
+//! Hierarchy levels with interleaved swap sweeps (the inner loop of
+//! Algorithm 1, lines 9–14), run on the application graph itself.
 //!
-//! Starting from the application graph with (digit-permuted) labels, each
-//! round first sweeps over all vertex pairs whose labels agree on everything
-//! but the last digit and swaps their labels whenever that improves the
-//! (level-local) `Coco` estimate, and then contracts such pairs into single
-//! vertices while cutting off the last digit. Repeating this until only two
-//! digits remain yields a hierarchy of graphs `G¹, …, G^{dim−1}` whose labels
-//! encode a recursive bipartition of `Ga` induced by the processor topology —
-//! oblivious to `Ga`'s own edge structure, which is exactly the diversity the
-//! TIMER search exploits.
+//! The paper builds a hierarchy of graphs `G¹, …, G^{dim−1}`: each level
+//! sweeps over all pairs of vertices whose labels agree on everything but
+//! the last digit, swaps their labels whenever that lowers the level-local
+//! `Coco`, and then contracts every such pair into one vertex while cutting
+//! off the last digit. The labels encode a recursive bipartition of `Ga`
+//! induced by the processor topology — oblivious to `Ga`'s own edge
+//! structure, which is exactly the diversity the TIMER search exploits.
+//!
+//! This module runs the same sweeps without building a single coarse graph.
+//! Let `cur` be the round's (digit-permuted, unique) labels:
+//!
+//! * A level-`j` vertex is the group of application vertices that share
+//!   `cur >> j`; a candidate pair is two groups that share `cur >> (j+1)`.
+//! * Sorting the vertices by `cur` once per round makes every group and
+//!   every pair a contiguous run of that one order at every level: bits
+//!   `≥ j` are untouched before level `j`'s sweep, and a level-`j` swap
+//!   flips only bit `j`. Walking the runs visits the pairs in ascending
+//!   prefix order, the order the contracted graphs would visit them in.
+//! * Coarse edge weights are sums of fine ones, so a pair's swap delta is a
+//!   sum over the fine arcs `(x, y, w)` with `x` in the pair and `y` outside
+//!   it. The two groups differ only in bit `j`, so such an arc contributes
+//!   `+w` when `y` agrees with `x` on bit `j` and `−w` otherwise — and
+//!   nothing at all when digit `j` is an extension digit, so those levels
+//!   never swap and are skipped.
+//! * A swap flips bit `j` of `cur` for every member of both groups.
+//!
+//! After the sweeps, bit `d` of `cur[v]` is the post-sweep last digit of
+//! `v`'s level-`d` ancestor: the digit `assemble` prefers.
 
 use std::time::Instant;
 
-use tie_graph::contract::{contract_into, ContractScratch};
 use tie_graph::{Graph, NodeId};
 use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
 
-use crate::objective::swap_delta;
+use crate::assemble::PrefixTrie;
 
-/// One level of a TIMER hierarchy.
-#[derive(Clone, Debug)]
-pub struct Level {
-    /// The (possibly contracted) graph at this level.
-    pub graph: Graph,
-    /// Vertex labels at this level (already truncated by the level index).
-    pub labels: Vec<u64>,
-    /// For every vertex of this level, the vertex of the next coarser level
-    /// it is contracted into. Empty for the coarsest level.
-    pub fine_to_coarse: Vec<NodeId>,
+/// Reusable buffers of one TIMER round: the vertices sorted by their
+/// round-start labels, and the prefix trie of `assemble`. The driver keeps
+/// one scratch for a whole run, so the buffers grow to the instance once;
+/// results never depend on what a previous round left in them.
+#[derive(Clone, Debug, Default)]
+pub struct HierarchyScratch {
+    /// `(round-start label, vertex)`, sorted by label.
+    pub(crate) order: Vec<(u64, NodeId)>,
+    /// Prefix-existence trie over the round's label set.
+    pub(crate) trie: PrefixTrie,
 }
 
-/// A full hierarchy: `levels[0]` is the application graph itself (with the
-/// labels as left behind by the level-1 swap sweep), `levels.last()` the
-/// coarsest graph with 2-digit labels.
-#[derive(Clone, Debug)]
-pub struct HierarchyRun {
-    /// Levels from finest to coarsest.
-    pub levels: Vec<Level>,
-    /// Number of label swaps performed across all sweeps.
-    pub total_swaps: usize,
-    /// Wall-clock spent in the sweeps and contractions of this hierarchy
-    /// (accumulated per [`Phase`]; always collected, the cost is two
-    /// monotonic-clock reads per level).
+/// Outcome of [`sweep_levels`].
+#[derive(Clone, Debug, Default)]
+pub struct SweepRun {
+    /// Number of label swaps performed across all levels.
+    pub swaps: usize,
+    /// Wall-clock of the sweeps, under [`Phase::Sweep`].
     pub phases: PhaseTimes,
 }
 
-/// Reusable buffers for the prefix-bucket pair search of
-/// [`collect_swap_pairs`]. One hierarchy performs `dim − 1` sweeps; sharing
-/// one scratch across all of them (and across candidate-pair collection in
-/// the contraction) avoids reallocating the buckets on every level.
-#[derive(Clone, Debug, Default)]
-pub struct SweepScratch {
-    /// `(label >> 1, vertex)` pairs, sorted to group prefix buckets.
-    keyed: Vec<(u64, NodeId)>,
-    /// The collected candidate pairs, in prefix order.
-    pairs: Vec<(NodeId, NodeId)>,
-}
-
-/// Collects the candidate swap pairs of a level into `scratch.pairs`: for
-/// every label prefix (`label >> 1`) shared by at least two vertices, the two
-/// lowest-indexed such vertices, emitted in ascending prefix order. The
-/// result is independent of whatever a previous collection left in the
-/// scratch.
-pub fn collect_swap_pairs(labels: &[u64], scratch: &mut SweepScratch) {
-    scratch.keyed.clear();
-    scratch.keyed.extend(
-        labels
-            .iter()
-            .enumerate()
-            .map(|(v, &l)| (l >> 1, v as NodeId)),
-    );
-    scratch.keyed.sort_unstable();
-    scratch.pairs.clear();
-    let mut i = 0;
-    while i < scratch.keyed.len() {
-        let key = scratch.keyed[i].0;
-        let mut j = i + 1;
-        while j < scratch.keyed.len() && scratch.keyed[j].0 == key {
-            j += 1;
-        }
-        if j - i >= 2 {
-            scratch
-                .pairs
-                .push((scratch.keyed[i].1, scratch.keyed[i + 1].1));
-        }
-        i = j;
-    }
-}
-
-/// Returns the candidate swap pairs of a level: all pairs of vertices whose
-/// labels agree on everything but the least significant digit, in
-/// deterministic (label) order. Allocating convenience wrapper around
-/// [`collect_swap_pairs`].
-pub fn swap_pairs(labels: &[u64]) -> Vec<(NodeId, NodeId)> {
-    let mut scratch = SweepScratch::default();
-    collect_swap_pairs(labels, &mut scratch);
-    scratch.pairs
-}
-
-/// Sequential swap sweep: for every candidate pair, swap the labels if that
-/// strictly decreases `Coco`. Returns the number of swaps performed.
-pub fn sweep(graph: &Graph, labels: &mut [u64], p_mask: u64) -> usize {
-    let mut scratch = SweepScratch::default();
-    sweep_with(graph, labels, p_mask, &mut scratch)
-}
-
-/// [`sweep`] with caller-provided scratch buffers, for reuse across the
-/// levels of a hierarchy.
-pub fn sweep_with(
+/// Runs the swap sweeps of levels `0 ..= dim − 3` on `cur`, the round's
+/// unique labels, in place (Algorithm 1, lines 9–14). `p_mask` is the PE
+/// digit mask in the same (permuted) label space. Per-level sweep spans are
+/// emitted through `trace` at [`TraceLevel::Debug`], tagged with
+/// `hierarchy_round`. Leaves the round-start labels sorted in `scratch` for
+/// [`crate::assemble::assemble_labels`].
+pub fn sweep_levels(
     graph: &Graph,
-    labels: &mut [u64],
+    cur: &mut [u64],
+    dim: usize,
     p_mask: u64,
-    scratch: &mut SweepScratch,
-) -> usize {
-    collect_swap_pairs(labels, scratch);
-    let mut swaps = 0usize;
-    for &(u, v) in &scratch.pairs {
-        if swap_delta(graph, labels, p_mask, u, v) < 0 {
-            labels.swap(u as usize, v as usize);
+    hierarchy_round: Option<usize>,
+    trace: &TraceHandle,
+    scratch: &mut HierarchyScratch,
+) -> SweepRun {
+    debug_assert_eq!(cur.len(), graph.num_vertices());
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(cur.iter().enumerate().map(|(v, &l)| (l, v as NodeId)));
+    order.sort_unstable();
+    debug_assert!(
+        order.windows(2).all(|w| w[0].0 != w[1].0),
+        "round labels must be unique"
+    );
+
+    let mut run = SweepRun::default();
+    let per_level = trace.enabled(TraceLevel::Debug);
+    // Paper: for i = 2 .. dim_Ga - 1, sweep on G^{i-1}.
+    for level in 0..dim.saturating_sub(2) {
+        // tie-lint: allow(no-wallclock) — per-level sweep telemetry; never read by the algorithm
+        let t = Instant::now();
+        // An extension digit never enters Coco, so its level cannot swap.
+        if (p_mask >> level) & 1 == 1 {
+            run.swaps += sweep_level(graph, cur, order, level);
+        }
+        let sweep_us = t.elapsed().as_micros() as u64;
+        run.phases.add(Phase::Sweep, sweep_us);
+        if per_level {
+            trace.emit(TraceEvent::Phase {
+                phase: Phase::Sweep,
+                round: hierarchy_round,
+                level: Some(level),
+                elapsed_us: sweep_us,
+            });
+        }
+    }
+    run
+}
+
+/// One level-`j` sweep over a PE digit: for every pair of groups sharing
+/// `cur >> (j+1)`, in ascending prefix order, flip bit `j` of both groups
+/// when that strictly lowers `Coco`. Returns the number of swaps.
+fn sweep_level(graph: &Graph, cur: &mut [u64], order: &[(u64, NodeId)], j: usize) -> usize {
+    let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
+    let mut swaps = 0;
+    for pair in order.chunk_by(|a, b| a.0 >> (j + 1) == b.0 >> (j + 1)) {
+        let (first, last) = (pair[0].0, pair[pair.len() - 1].0);
+        // Bit j of the round-start labels is still current here; a run whose
+        // ends agree on it holds a single group, which has no partner.
+        if ((first ^ last) >> j) & 1 == 0 {
+            continue;
+        }
+        let prefix = first >> (j + 1);
+        let mut delta = 0i64;
+        for &(lx, x) in pair {
+            let x = x as usize;
+            for (&y, &w) in adjncy[xadj[x]..xadj[x + 1]]
+                .iter()
+                .zip(&adjwgt[xadj[x]..xadj[x + 1]])
+            {
+                // +w if y agrees with x on bit j, −w if not, 0 inside the pair.
+                let ly = cur[y as usize];
+                let outside = (ly >> (j + 1) != prefix) as i64;
+                let sign = 1 - 2 * (((lx ^ ly) >> j) & 1) as i64;
+                delta += outside * sign * w as i64;
+            }
+        }
+        if delta < 0 {
+            for &(_, x) in pair {
+                cur[x as usize] ^= 1 << j;
+            }
             swaps += 1;
         }
     }
     swaps
 }
 
-/// Reusable buffers for a full hierarchy construction: the sweep's
-/// prefix-bucket pair search ([`SweepScratch`]), the sorted-deduped prefix
-/// array of the contraction, and the counting-sort buffers of the CSR
-/// contraction kernel ([`ContractScratch`]). One scratch serves all
-/// `dim − 1` levels of a hierarchy — and, kept alive by the driver, all
-/// rounds of a run: buffers grow to the largest level once and are never
-/// reallocated again. Results never
-/// depend on leftover scratch contents.
-#[derive(Clone, Debug, Default)]
-pub struct HierarchyScratch {
-    /// Pair-search buffers shared by the sweeps.
-    sweep: SweepScratch,
-    /// Sorted, deduped label prefixes of the level being contracted.
-    prefixes: Vec<u64>,
-    /// Sorted label multiset of the current level. Sweeps only swap labels,
-    /// so the hierarchy loop sorts once per round and every contraction
-    /// derives its prefix array from this set in linear time.
-    sorted_set: Vec<u64>,
-    /// Counting-sort buffers of the CSR contraction kernel.
-    contract: ContractScratch,
-}
-
-impl HierarchyScratch {
-    /// A scratch pre-sized for hierarchies over graphs of roughly `n`
-    /// vertices (the finest level dominates every buffer's size). Purely a
-    /// latency hint — an undersized scratch grows on first use and an
-    /// oversized one only wastes memory; results never depend on it.
-    pub fn with_vertex_capacity(n: usize) -> Self {
-        HierarchyScratch {
-            sweep: SweepScratch {
-                keyed: Vec::with_capacity(n),
-                pairs: Vec::with_capacity(n / 2),
-            },
-            prefixes: Vec::with_capacity(n),
-            sorted_set: Vec::with_capacity(n),
-            contract: ContractScratch::default(),
-        }
-    }
-}
-
-/// Contracts every candidate pair (vertices sharing all but the last label
-/// digit) into a single coarse vertex and cuts the last digit off every
-/// label. Unpaired vertices are carried over unchanged (minus the digit).
-/// Allocating convenience wrapper around [`contract_level_with`].
-pub fn contract_level(graph: &Graph, labels: &[u64]) -> (Graph, Vec<u64>, Vec<NodeId>) {
-    contract_level_with(graph, labels, &mut HierarchyScratch::default())
-}
-
-/// [`contract_level`] with caller-provided scratch: the coarse vertex ids
-/// are the ranks of the distinct label prefixes (sorted prefix order, for
-/// determinism), found by binary search over the sorted-deduped prefix
-/// array; the coarse graph is built by the sort-based CSR kernel
-/// ([`contract_into`]) — no hash map anywhere on the path.
-pub fn contract_level_with(
-    graph: &Graph,
-    labels: &[u64],
-    scratch: &mut HierarchyScratch,
-) -> (Graph, Vec<u64>, Vec<NodeId>) {
-    scratch.sorted_set.clear();
-    scratch.sorted_set.extend_from_slice(labels);
-    scratch.sorted_set.sort_unstable();
-    contract_level_presorted(graph, labels, scratch)
-}
-
-/// [`contract_level_with`] for callers that already hold the sorted label
-/// multiset in `scratch.sorted_set` (the hierarchy loop: sweeps only swap
-/// labels, and each contraction's `coarse_labels` is the next level's set
-/// already sorted). Skips the per-level sort; everything else is identical.
-fn contract_level_presorted(
-    graph: &Graph,
-    labels: &[u64],
-    scratch: &mut HierarchyScratch,
-) -> (Graph, Vec<u64>, Vec<NodeId>) {
-    let n = graph.num_vertices();
-    debug_assert!(
-        {
-            let mut set = labels.to_vec();
-            set.sort_unstable();
-            set == scratch.sorted_set
-        },
-        "sorted_set out of sync with the level's label multiset"
-    );
-    let prefixes = &mut scratch.prefixes;
-    prefixes.clear();
-    prefixes.extend(scratch.sorted_set.iter().map(|&l| l >> 1));
-    prefixes.dedup();
-
-    let mut fine_to_coarse = vec![0 as NodeId; n];
-    for (v, &l) in labels.iter().enumerate() {
-        fine_to_coarse[v] = match prefixes.binary_search(&(l >> 1)) {
-            Ok(i) => i as NodeId,
-            // Unreachable: every prefix was inserted into the array above.
-            Err(_) => unreachable!("label prefix missing from its own prefix array"),
-        };
-    }
-    let coarse_labels: Vec<u64> = prefixes.clone();
-    // The coarse level's label multiset *is* the (sorted) prefix array:
-    // keep `sorted_set` current so the next contraction skips its sort.
-    scratch.sorted_set.clear();
-    scratch.sorted_set.extend_from_slice(&coarse_labels);
-    let coarse_graph = contract_into(
-        graph,
-        &fine_to_coarse,
-        coarse_labels.len(),
-        &mut scratch.contract,
-    );
-    (coarse_graph, coarse_labels, fine_to_coarse)
-}
-
-/// Builds the full hierarchy for one permutation round: alternating swap
-/// sweeps and contractions until the labels have only two digits left
-/// (Algorithm 1, lines 9–14). `p_mask` is the PE digit mask *in the permuted
-/// label space*; it is truncated alongside the labels on coarser levels.
-pub fn build_hierarchy(graph: &Graph, labels: Vec<u64>, dim: usize, p_mask: u64) -> HierarchyRun {
-    build_hierarchy_traced(
-        graph,
-        labels,
-        dim,
-        p_mask,
-        None,
-        &TraceHandle::off(),
-        &mut HierarchyScratch::default(),
-    )
-}
-
-/// [`build_hierarchy`] with flight-recorder context and caller-provided
-/// scratch: per-level sweep and contraction spans are emitted through
-/// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round`.
-/// `scratch` carries the sweep and contraction buffers across all levels —
-/// and, when the caller keeps it alive (as the driver does), across
-/// hierarchy rounds. The result never depends on what a
-/// previous run left in the scratch.
-pub fn build_hierarchy_traced(
-    graph: &Graph,
-    labels: Vec<u64>,
-    dim: usize,
-    p_mask: u64,
-    hierarchy_round: Option<usize>,
-    trace: &TraceHandle,
-    scratch: &mut HierarchyScratch,
-) -> HierarchyRun {
-    let mut levels: Vec<Level> = Vec::new();
-    let mut total_swaps = 0usize;
-    let mut current_graph = graph.clone();
-    let mut current_labels = labels;
-    let mut phases = PhaseTimes::default();
-    // Cheap enough to collect always; only *emission* is gated on the level.
-    let per_level = trace.enabled(TraceLevel::Debug);
-
-    // Seed the sorted label multiset once per hierarchy: sweeps only swap
-    // labels and every contraction leaves the next level's set behind
-    // sorted, so this is the only full label sort of the whole round. Timed
-    // as contract work — it exists purely to feed the contractions.
-    let t = Instant::now();
-    scratch.sorted_set.clear();
-    scratch.sorted_set.extend_from_slice(&current_labels);
-    scratch.sorted_set.sort_unstable();
-    phases.add(Phase::Contract, t.elapsed().as_micros() as u64);
-
-    // Paper: for i = 2 .. dim_Ga - 1; sweep on G^{i-1}, contract into G^i.
-    let rounds = dim.saturating_sub(2);
-    for round in 0..rounds {
-        let t = Instant::now();
-        total_swaps += sweep_with(
-            &current_graph,
-            &mut current_labels,
-            p_mask >> round,
-            &mut scratch.sweep,
-        );
-        let sweep_us = t.elapsed().as_micros() as u64;
-        phases.add(Phase::Sweep, sweep_us);
-        if per_level {
-            trace.emit(TraceEvent::Phase {
-                phase: Phase::Sweep,
-                round: hierarchy_round,
-                level: Some(round),
-                elapsed_us: sweep_us,
-            });
-        }
-        let t = Instant::now();
-        let (coarse_graph, coarse_labels, fine_to_coarse) =
-            contract_level_presorted(&current_graph, &current_labels, scratch);
-        let contract_us = t.elapsed().as_micros() as u64;
-        phases.add(Phase::Contract, contract_us);
-        if per_level {
-            trace.emit(TraceEvent::Phase {
-                phase: Phase::Contract,
-                round: hierarchy_round,
-                level: Some(round),
-                elapsed_us: contract_us,
-            });
-        }
-        levels.push(Level {
-            graph: current_graph,
-            labels: current_labels,
-            fine_to_coarse,
-        });
-        current_graph = coarse_graph;
-        current_labels = coarse_labels;
-    }
-    // Coarsest level (no further contraction).
-    levels.push(Level {
-        graph: current_graph,
-        labels: current_labels,
-        fine_to_coarse: Vec::new(),
-    });
-    HierarchyRun {
-        levels,
-        total_swaps,
-        phases,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::objective::coco_for_labels;
+    use crate::reference::{self, build_hierarchy, contract_level, swap_pairs};
     use proptest::prelude::*;
     use tie_graph::{generators, GraphBuilder};
-
-    /// The pre-kernel contraction path (prefix `HashMap` + `GraphBuilder`
-    /// edge coalescer), kept verbatim as the oracle the sort-based kernel is
-    /// pinned against: `contract_level` must reproduce this byte for byte.
-    fn contract_level_reference(graph: &Graph, labels: &[u64]) -> (Graph, Vec<u64>, Vec<NodeId>) {
-        use std::collections::HashMap;
-        let n = graph.num_vertices();
-        let mut prefixes: Vec<u64> = labels.iter().map(|&l| l >> 1).collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        let coarse_of_prefix: HashMap<u64, NodeId> = prefixes
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as NodeId))
-            .collect();
-
-        let mut fine_to_coarse = vec![0 as NodeId; n];
-        for (v, &l) in labels.iter().enumerate() {
-            fine_to_coarse[v] = coarse_of_prefix[&(l >> 1)];
-        }
-        let coarse_n = prefixes.len();
-        let coarse_labels: Vec<u64> = prefixes;
-
-        let mut builder = GraphBuilder::new(coarse_n);
-        let mut coarse_weights = vec![0u64; coarse_n];
-        for v in graph.vertices() {
-            coarse_weights[fine_to_coarse[v as usize] as usize] += graph.vertex_weight(v);
-        }
-        for (c, &w) in coarse_weights.iter().enumerate() {
-            builder.set_vertex_weight(c as NodeId, w);
-        }
-        for (u, v, w) in graph.edges() {
-            let (cu, cv) = (fine_to_coarse[u as usize], fine_to_coarse[v as usize]);
-            if cu != cv {
-                builder.add_edge(cu, cv, w);
-            }
-        }
-        (builder.build(), coarse_labels, fine_to_coarse)
-    }
 
     /// A small instance with unique 4-digit labels on an 8-vertex graph.
     fn toy() -> (Graph, Vec<u64>) {
@@ -392,8 +161,56 @@ mod tests {
         (g, labels)
     }
 
+    fn sweep(
+        g: &Graph,
+        labels: &mut [u64],
+        dim: usize,
+        p_mask: u64,
+        scratch: &mut HierarchyScratch,
+    ) -> usize {
+        sweep_levels(g, labels, dim, p_mask, None, &TraceHandle::off(), scratch).swaps
+    }
+
+    /// One full round (sweeps, then assemble) through the production path:
+    /// `(assembled labels, swaps, repaired)`.
+    fn round(
+        g: &Graph,
+        labels: &[u64],
+        dim: usize,
+        p_mask: u64,
+        scratch: &mut HierarchyScratch,
+    ) -> (Vec<u64>, usize, usize) {
+        let mut cur = labels.to_vec();
+        let swaps = sweep(g, &mut cur, dim, p_mask, scratch);
+        let assembled = crate::assemble::assemble_labels(&cur, dim, scratch);
+        (assembled.labels, swaps, assembled.repaired)
+    }
+
+    /// The same round through the explicit contraction hierarchy.
+    fn reference_round(
+        g: &Graph,
+        labels: &[u64],
+        dim: usize,
+        p_mask: u64,
+    ) -> (Vec<u64>, usize, usize) {
+        let run = build_hierarchy(g, labels.to_vec(), dim, p_mask);
+        let (assembled, repaired) = reference::assemble_labels(&run, dim);
+        (assembled, run.total_swaps, repaired)
+    }
+
+    /// `n` unique labels over `dim` digits: a seeded sample of `0 .. 2^dim`
+    /// in seeded order.
+    fn unique_labels(n: usize, dim: usize, seed: u64) -> Vec<u64> {
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+        let mut labels: Vec<u64> = (0..1u64 << dim).collect();
+        labels.shuffle(&mut StdRng::seed_from_u64(seed));
+        labels.truncate(n);
+        labels
+    }
+
     #[test]
     fn swap_pairs_are_disjoint_and_complete() {
+        // The reference pair order the implicit sweep must reproduce.
         let labels: Vec<u64> = vec![0b000, 0b001, 0b010, 0b100, 0b101, 0b111];
         let pairs = swap_pairs(&labels);
         // Prefixes: 00 -> (0,1), 01 -> (2) unpaired, 10 -> (3,4), 11 -> (5) unpaired.
@@ -409,24 +226,32 @@ mod tests {
 
     #[test]
     fn sweep_never_increases_objective() {
-        let (g, labels) = toy();
-        let p_mask = 0b1110;
-        let mut l = labels.clone();
-        let before = coco_for_labels(&g, &l, p_mask);
-        let swaps = sweep(&g, &mut l, p_mask);
-        let after = coco_for_labels(&g, &l, p_mask);
-        assert!(after <= before, "sweep must not worsen the objective");
-        if swaps == 0 {
-            assert_eq!(after, before);
+        let g = generators::randomize_edge_weights(&generators::barabasi_albert(128, 3, 5), 4, 5);
+        for p_mask in [0b111_0000u64, 0b101_1010, 0b110_0110] {
+            // Every label of the 7-digit space is present, so the two groups
+            // of a pair hold mirror-image label sets and a swap preserves
+            // the label multiset (on sparse sets, assemble's repair does).
+            let labels = unique_labels(128, 7, p_mask);
+            let mut l = labels.clone();
+            let before = coco_for_labels(&g, &l, p_mask);
+            let swaps = sweep(&g, &mut l, 7, p_mask, &mut HierarchyScratch::default());
+            let after = coco_for_labels(&g, &l, p_mask);
+            // Every swap strictly lowers Coco.
+            if swaps == 0 {
+                assert_eq!(after, before);
+            } else {
+                assert!(after < before, "{swaps} swaps: {before} -> {after}");
+            }
+            let (mut sl, mut sorted) = (l, labels);
+            sl.sort_unstable();
+            sorted.sort_unstable();
+            assert_eq!(sl, sorted);
         }
-        // The label multiset is preserved.
-        let mut sl = l.clone();
-        sl.sort_unstable();
-        assert_eq!(sl, (0..8u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn contraction_merges_pairs_and_cuts_digit() {
+        // The reference contraction the implicit levels stand for.
         let (g, labels) = toy();
         let (cg, cl, f2c) = contract_level(&g, &labels);
         assert_eq!(cg.num_vertices(), 4);
@@ -441,7 +266,8 @@ mod tests {
     fn contraction_coalesces_parallel_coarse_edges() {
         // Vertices 0,1 share prefix 0 and 2,3 share prefix 1, so contraction
         // yields two coarse vertices. Three distinct fine edges cross between
-        // the pairs; they must merge into ONE coarse edge of summed weight.
+        // the pairs; they must merge into ONE coarse edge of summed weight —
+        // the sum the implicit pair delta adds up arc by arc.
         let mut b = GraphBuilder::new(4);
         b.add_edge(0, 2, 2);
         b.add_edge(0, 3, 3);
@@ -463,32 +289,50 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_stateless_and_matches_allocating_path() {
-        let labels_a: Vec<u64> = vec![0b000, 0b001, 0b010, 0b100, 0b101, 0b111];
-        let labels_b: Vec<u64> = (0..32u64).rev().collect();
-        let mut scratch = SweepScratch::default();
-        collect_swap_pairs(&labels_a, &mut scratch);
-        let fresh_a = scratch.pairs.clone();
-        assert_eq!(fresh_a, swap_pairs(&labels_a));
+        let (g_a, labels_a) = toy();
+        let g_b = generators::randomize_edge_weights(&generators::barabasi_albert(64, 3, 2), 4, 3);
+        let labels_b: Vec<u64> = (0..64u64).rev().collect();
+        let mut scratch = HierarchyScratch::default();
+        let fresh_a = round(&g_a, &labels_a, 4, 0b1110, &mut scratch);
         // Dirty the scratch with a larger instance, then redo the first one:
         // the result must not depend on leftover scratch contents.
-        collect_swap_pairs(&labels_b, &mut scratch);
-        assert_eq!(scratch.pairs, swap_pairs(&labels_b));
-        collect_swap_pairs(&labels_a, &mut scratch);
-        assert_eq!(scratch.pairs, fresh_a);
+        let fresh_b = round(&g_b, &labels_b, 7, 0b111_1000, &mut scratch);
+        assert_eq!(
+            fresh_b,
+            round(
+                &g_b,
+                &labels_b,
+                7,
+                0b111_1000,
+                &mut HierarchyScratch::default()
+            )
+        );
+        assert_eq!(round(&g_a, &labels_a, 4, 0b1110, &mut scratch), fresh_a);
     }
 
     #[test]
     fn sweep_with_scratch_matches_sweep() {
+        // The implicit sweep against the reference sweeps on contracted
+        // graphs, level by level: bit d of every vertex's label is the
+        // post-sweep last digit of its level-d ancestor.
         let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 4, 5);
-        let labels: Vec<u64> = (0..96u64).collect();
-        let p_mask = 0b111_0000;
-        let mut plain = labels.clone();
-        let plain_swaps = sweep(&g, &mut plain, p_mask);
-        let mut scratched = labels.clone();
-        let mut scratch = SweepScratch::default();
-        let scratched_swaps = sweep_with(&g, &mut scratched, p_mask, &mut scratch);
-        assert_eq!(plain_swaps, scratched_swaps);
-        assert_eq!(plain, scratched);
+        let dim = 7;
+        let p_mask = 0b111_0110;
+        let labels = unique_labels(96, dim, 3);
+        let mut cur = labels.clone();
+        let swaps = sweep(&g, &mut cur, dim, p_mask, &mut HierarchyScratch::default());
+        let run = build_hierarchy(&g, labels, dim, p_mask);
+        assert!(swaps > 0, "the fixture must exercise swaps");
+        assert_eq!(swaps, run.total_swaps);
+        for (v, &label) in cur.iter().enumerate() {
+            let mut ancestor = v;
+            for (d, level) in run.levels.iter().enumerate() {
+                assert_eq!((label >> d) & 1, level.labels[ancestor] & 1, "v{v} d{d}");
+                if let Some(&up) = level.fine_to_coarse.get(ancestor) {
+                    ancestor = up as usize;
+                }
+            }
+        }
     }
 
     #[test]
@@ -503,6 +347,8 @@ mod tests {
 
     #[test]
     fn hierarchy_has_expected_depth_and_sizes() {
+        // The reference hierarchy: dim - 1 levels of halving size, unique
+        // labels on every level.
         let (g, labels) = toy();
         let dim = 4;
         let run = build_hierarchy(&g, labels, dim, 0b1110);
@@ -513,9 +359,6 @@ mod tests {
         assert_eq!(run.levels[2].graph.num_vertices(), 2);
         // Coarsest labels have 2 digits.
         assert!(run.levels[2].labels.iter().all(|&l| l < 4));
-        // fine_to_coarse chains are consistent. (Note: the coarse level's
-        // stored labels may have been swapped by its own sweep afterwards, so
-        // only structural consistency is checked here, not label prefixes.)
         for j in 0..run.levels.len() - 1 {
             let lvl = &run.levels[j];
             let next = &run.levels[j + 1];
@@ -523,7 +366,6 @@ mod tests {
             for &c in lvl.fine_to_coarse.iter() {
                 assert!((c as usize) < next.graph.num_vertices());
             }
-            // Labels are unique on every level.
             let mut labels = next.labels.clone();
             labels.sort_unstable();
             labels.dedup();
@@ -533,79 +375,63 @@ mod tests {
 
     #[test]
     fn hierarchy_on_two_digit_labels_is_single_level() {
+        // dim = 2: the coarsest level is the application graph, no sweep.
         let g = generators::path_graph(4);
         let labels = vec![0u64, 1, 2, 3];
-        let run = build_hierarchy(&g, labels.clone(), 2, 0b10);
-        assert_eq!(run.levels.len(), 1);
-        assert_eq!(run.levels[0].labels, labels);
-        assert_eq!(run.total_swaps, 0);
+        let mut cur = labels.clone();
+        let swaps = sweep(&g, &mut cur, 2, 0b10, &mut HierarchyScratch::default());
+        assert_eq!(swaps, 0);
+        assert_eq!(cur, labels);
+        assert_eq!(
+            round(&g, &labels, 2, 0b10, &mut HierarchyScratch::default()),
+            (labels, 0, 0)
+        );
     }
 
     #[test]
-    fn contract_level_matches_reference_oracle_on_fixtures() {
+    fn round_matches_reference_oracle_on_fixtures() {
         let (g, labels) = toy();
         assert_eq!(
-            contract_level(&g, &labels),
-            contract_level_reference(&g, &labels)
+            round(&g, &labels, 4, 0b1110, &mut HierarchyScratch::default()),
+            reference_round(&g, &labels, 4, 0b1110)
         );
         let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 4, 5);
-        let labels: Vec<u64> = (0..96u64).collect();
-        assert_eq!(
-            contract_level(&g, &labels),
-            contract_level_reference(&g, &labels)
-        );
-    }
-
-    #[test]
-    fn contract_scratch_reuse_is_stateless() {
-        let (g_a, labels_a) = toy();
-        let g_b = generators::randomize_edge_weights(&generators::barabasi_albert(64, 3, 2), 4, 3);
-        let labels_b: Vec<u64> = (0..64u64).rev().collect();
-        let mut scratch = HierarchyScratch::default();
-        let fresh_a = contract_level_with(&g_a, &labels_a, &mut scratch);
-        // Dirty the scratch with a larger instance, then redo the first one:
-        // the result must not depend on leftover scratch contents.
-        let fresh_b = contract_level_with(&g_b, &labels_b, &mut scratch);
-        assert_eq!(fresh_b, contract_level_reference(&g_b, &labels_b));
-        assert_eq!(contract_level_with(&g_a, &labels_a, &mut scratch), fresh_a);
+        let labels = unique_labels(96, 8, 11);
+        for p_mask in [0b1111_0000u64, 0b1010_1101, 0b0111_1110] {
+            assert_eq!(
+                round(&g, &labels, 8, p_mask, &mut HierarchyScratch::default()),
+                reference_round(&g, &labels, 8, p_mask)
+            );
+        }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// On random graphs × random labelings, the sort-based contraction
-        /// kernel's `(Graph, coarse_labels, fine_to_coarse)` triple is
-        /// identical to the old HashMap path (the `GraphBuilder` coalescer),
-        /// including the raw CSR arrays of the coarse graph — the invariant
-        /// the whole refactor is pinned by.
+        /// On random weighted graphs × unique labelings × label widths ×
+        /// PE masks, the implicit round (sweeps on the application graph,
+        /// trie assemble, sorted-budget repair) produces the explicit
+        /// hierarchy's assembled labels, swap count and repair count exactly.
         #[test]
-        fn contraction_kernel_equivalent_to_hashmap_reference(
+        fn round_equivalent_to_contraction_reference(
             n in 1..150usize,
             m in 0..400usize,
-            dim in 2..8u32,
+            dim in 2..=12usize,
             seed in 0..1000u64,
-            dirty_seed in 0..4u64,
+            mask_bits in 0..u64::MAX,
         ) {
+            let n = n.min(1 << dim);
             let base = generators::erdos_renyi_gnm(n, m.min(n * (n - 1) / 2), seed);
             let g = generators::randomize_edge_weights(&base, 7, seed ^ 0xc0ffee);
-            // Random labels over `dim` digits; duplicates are allowed (the
-            // contraction only groups by prefix, uniqueness is not required).
-            let labels: Vec<u64> = (0..n)
-                .map(|v| {
-                    let x = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
-                    (x >> 17) & ((1u64 << dim) - 1)
-                })
-                .collect();
+            let labels = unique_labels(n, dim, seed);
+            let p_mask = mask_bits & ((1u64 << dim) - 1);
+            // A reused scratch, dirtied by an unrelated round first.
             let mut scratch = HierarchyScratch::default();
-            if dirty_seed > 0 {
-                // Pre-dirty the scratch with an unrelated contraction so the
-                // equivalence also covers reused buffers.
-                let other: Vec<u64> = (0..n as u64).map(|v| v ^ dirty_seed).collect();
-                let _ = contract_level_with(&g, &other, &mut scratch);
-            }
-            let kernel = contract_level_with(&g, &labels, &mut scratch);
-            let reference = contract_level_reference(&g, &labels);
-            prop_assert_eq!(kernel, reference);
+            let _ = round(&g, &unique_labels(n, dim, !seed), dim, p_mask, &mut scratch);
+            prop_assert_eq!(
+                round(&g, &labels, dim, p_mask, &mut scratch),
+                reference_round(&g, &labels, dim, p_mask)
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! that makes labels unique within each block. In the `u64` encoding used
 //! here the extension occupies the low `ext_bits` bits and the PE label the
 //! next `dim_p` bits, so truncating digits from the right (as the hierarchy
-//! contraction does) first consumes the extension and then the PE label.
+//! levels do) first consumes the extension and then the PE label.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -17,6 +17,32 @@ use tie_mapping::Mapping;
 use tie_topology::PartialCubeLabeling;
 
 use crate::error::TieError;
+
+/// Extension digits that make labels unique within a block of `max_block`
+/// tasks: `ceil(log2(max_block))`, 0 for blocks of at most one task.
+pub fn ext_bits_for(max_block: usize) -> usize {
+    if max_block <= 1 {
+        0
+    } else {
+        (usize::BITS - (max_block - 1).leading_zeros()) as usize
+    }
+}
+
+/// Checks that `dim_p` PE digits plus `ext_bits` extension digits fit the
+/// 64-bit label encoding.
+///
+/// # Errors
+/// [`TieError::IncompatibleTopology`] when the total width exceeds 64.
+pub fn check_label_width(dim_p: usize, ext_bits: usize) -> Result<(), TieError> {
+    let dim = dim_p + ext_bits;
+    if dim > 64 {
+        return Err(TieError::IncompatibleTopology(format!(
+            "label width {dim} ({dim_p} PE digits + {ext_bits} extension \
+             digits) exceeds the 64-bit label encoding"
+        )));
+    }
+    Ok(())
+}
 
 /// The labeling `la : Va -> {0,1}^dim` of the application vertices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,19 +104,10 @@ impl Labeling {
             blocks[mapping.pe_of(v) as usize].push(v);
         }
         let max_block = blocks.iter().map(|b| b.len()).max().unwrap_or(0);
-        let ext_bits = if max_block <= 1 {
-            0
-        } else {
-            (usize::BITS - (max_block - 1).leading_zeros()) as usize
-        };
+        let ext_bits = ext_bits_for(max_block);
         let dim_p = pcube.dim;
+        check_label_width(dim_p, ext_bits)?;
         let dim = dim_p + ext_bits;
-        if dim > 64 {
-            return Err(TieError::IncompatibleTopology(format!(
-                "label width {dim} ({dim_p} PE digits + {ext_bits} extension \
-                 digits) exceeds the 64-bit label encoding"
-            )));
-        }
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut labels = vec![0u64; n];

@@ -35,6 +35,8 @@ pub mod error;
 pub mod hierarchy;
 pub mod labeling;
 pub mod objective;
+#[cfg(test)]
+mod reference;
 pub mod refinement;
 pub mod telemetry;
 

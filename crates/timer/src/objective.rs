@@ -8,9 +8,9 @@
 //! Coco contribution = ω(u,v) · |(la(u)⊕la(v)) & p_mask|.
 //! ```
 //!
-//! The same formula evaluated on the coarse graphs of a hierarchy (with the
-//! mask truncated alongside the labels) yields the level-wise estimates used
-//! during the multi-hierarchical search.
+//! Summed over the edges leaving a hierarchy level's vertex groups (labels
+//! and mask shifted by the level) the same formula yields the level-wise
+//! estimates used during the multi-hierarchical search.
 //!
 //! The paper searches on `Coco⁺ = Coco − Div` (Eq. (14)), where `Div`
 //! (Eq. (12)) rewards extension-digit diversity. This crate optimizes plain
@@ -33,8 +33,7 @@ pub fn coco(graph: &Graph, labeling: &Labeling) -> u64 {
     coco_for_labels(graph, &labeling.labels, labeling.p_mask())
 }
 
-/// `Coco` over raw labels and a PE-digit mask (used on coarse levels, where
-/// labels and masks have been truncated and possibly permuted).
+/// `Coco` over raw labels and a PE-digit mask.
 pub fn coco_for_labels(graph: &Graph, labels: &[u64], p_mask: u64) -> u64 {
     graph
         .edges()

@@ -57,7 +57,7 @@ pub enum TraceLevel {
     Gate,
     /// Additionally: per-round phase spans and `mapd` cache lookups.
     Phase,
-    /// Additionally: per-hierarchy-level sweep/contraction spans.
+    /// Additionally: per-hierarchy-level sweep spans.
     Debug,
 }
 

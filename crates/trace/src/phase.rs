@@ -5,14 +5,18 @@
 /// the accumulator allocation-free and the JSONL schema stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// One whole hierarchy construction (contains `Sweep` and `Contract`).
+    /// One whole hierarchy round's level work: permuting the labels, one
+    /// sort, and every level's `Sweep`.
     HierarchyBuild,
     /// One label-swap sweep over a hierarchy level.
     Sweep,
-    /// One contraction of a hierarchy level into the next coarser one.
+    /// One contraction of a hierarchy level into the next coarser one. No
+    /// longer recorded: TIMER's hierarchy levels are implicit and no coarse
+    /// graph is built. The name stays for readers of older traces and
+    /// reports.
     Contract,
-    /// Assembling fine-level labels from a finished hierarchy, including the
-    /// bijection repair.
+    /// Assembling fine-level labels from the swept labels (the prefix-trie
+    /// walk of Algorithm 2), including the bijection repair.
     Assemble,
     /// The incidence-limited `ΔCoco` scan pricing a candidate.
     DeltaScan,
@@ -80,8 +84,8 @@ impl Phase {
 }
 
 /// Accumulated wall-clock per phase, in microseconds. `HierarchyBuild` spans
-/// contain the `Sweep` and `Contract` time of their levels, so the entries
-/// are not disjoint — readers summing phases must skip the container phase.
+/// contain the `Sweep` time of their levels, so the entries are not
+/// disjoint — readers summing phases must skip the container phase.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseTimes {
     us: [u64; Phase::COUNT],
